@@ -95,6 +95,25 @@ uint64_t Interpreter::chunks_streamed() const {
   return n;
 }
 
+Status Interpreter::ReadColumn(const std::string& name, uint64_t pos,
+                               uint32_t len, void* out, Scheme* scheme) {
+  const DataBinding* b = FindBinding(name);
+  if (b == nullptr || b->column == nullptr) {
+    return Status::NotFound("no column bound to " + name);
+  }
+  if (pos + len > b->len) {
+    return Status::OutOfRange(StrFormat(
+        "column read [%llu, %llu) past end of %s (%llu)",
+        (unsigned long long)pos, (unsigned long long)(pos + len),
+        name.c_str(), (unsigned long long)b->len));
+  }
+  // Stream through the per-binding cursor: one compressed block decoded at
+  // a time, cached across the sequential chunk reads of a scan.
+  ColumnChunkCursor& cursor = column_cursors_[name];
+  if (cursor.column() != b->column) cursor = ColumnChunkCursor(b->column);
+  return cursor.ReadAt(b->col_offset + pos, len, out, scheme);
+}
+
 ArrayPtr Interpreter::NewArray(TypeId type, uint32_t capacity) {
   auto a = std::make_shared<ArrayValue>();
   a->vec.Reset(type, capacity == 0 ? options_.chunk_size : capacity);
@@ -341,13 +360,8 @@ Result<Value> Interpreter::EvalRead(const Expr& e) {
   const uint32_t take = static_cast<uint32_t>(
       std::min<uint64_t>(options_.chunk_size, b->len - pos));
   if (b->column != nullptr) {
-    // Stream through the per-binding cursor: one compressed block decoded
-    // at a time, cached across the sequential chunk reads of a scan.
-    ColumnChunkCursor& cursor = column_cursors_[name];
-    if (cursor.column() != b->column) cursor = ColumnChunkCursor(b->column);
     Scheme s = Scheme::kPlain;
-    AVM_RETURN_NOT_OK(
-        cursor.ReadAt(b->col_offset + pos, take, out->vec.RawData(), &s));
+    AVM_RETURN_NOT_OK(ReadColumn(name, pos, take, out->vec.RawData(), &s));
     last_scheme_[name] = s;
   } else {
     const size_t w = TypeWidth(b->type);

@@ -135,6 +135,14 @@ class Interpreter {
   /// windows through the interpreter after it finished).
   const DataBinding* FindBinding(const std::string& name) const;
 
+  /// Decode `len` values at program position `pos` of the column-bound data
+  /// array `name` into `out` through the binding's streaming cursor — the
+  /// one column read path, shared by `read` and injected traces, so a
+  /// forward scan decodes each block once and counts in chunks_streamed().
+  /// Reports the scheme of the block the read starts in.
+  Status ReadColumn(const std::string& name, uint64_t pos, uint32_t len,
+                    void* out, Scheme* scheme = nullptr);
+
   /// Allocate a chunk-sized array of `type` (len set by caller).
   ArrayPtr NewArray(TypeId type, uint32_t capacity = 0);
 

@@ -8,6 +8,7 @@
 #include <unordered_set>
 
 #include "dsl/printer.h"
+#include "util/hash.h"
 #include "util/string_util.h"
 
 namespace avm::ir {
@@ -58,6 +59,13 @@ std::string ShortLabel(const Expr& e) {
     label += " [" + body + "]";
   }
   return label;
+}
+
+uint64_t HashExprTypes(const Expr& e, uint64_t h) {
+  h = HashCombine(h, static_cast<uint64_t>(e.type));
+  if (e.body) h = HashExprTypes(*e.body, h);
+  for (const auto& a : e.args) h = HashExprTypes(*a, h);
+  return h;
 }
 
 class GraphBuilder {
@@ -192,7 +200,16 @@ class GraphBuilder {
 }  // namespace
 
 Result<DepGraph> DepGraph::Build(const dsl::Program& program) {
-  return GraphBuilder(program).Run();
+  AVM_ASSIGN_OR_RETURN(DepGraph graph, GraphBuilder(program).Run());
+  for (DepNode& node : graph.nodes_) {
+    uint64_t h = HashString(dsl::PrintExpr(*node.expr));
+    h = HashCombine(h, HashString(graph.OutputNameOf(node.id)));
+    // The expression id pins the statement ids a trace anchors at; the
+    // types are the type checker's, which the printed form omits.
+    h = HashCombine(h, node.expr->id);
+    node.shape_hash = HashExprTypes(*node.expr, h);
+  }
+  return graph;
 }
 
 int DepGraph::ProducerOf(const std::string& name) const {

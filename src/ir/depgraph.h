@@ -18,6 +18,11 @@ struct DepNode {
   const dsl::Expr* expr = nullptr;    ///< the skeleton call it represents
   dsl::SkeletonKind kind = dsl::SkeletonKind::kMap;
   std::string label;                  ///< human-readable ("map *2")
+  /// Identity of the code this node compiles to: its full printed
+  /// expression, output name, expression id and the type of every
+  /// sub-expression. Computed once by DepGraph::Build; trace fingerprints
+  /// (the trace-cache key) hash it instead of the truncated label.
+  uint64_t shape_hash = 0;
   /// Ordinal of the top-level loop-body statement this node belongs to.
   /// A trace executes at its anchor (first covered) statement, so every
   /// value it consumes must be produced BEFORE that ordinal — the

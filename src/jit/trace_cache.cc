@@ -52,7 +52,7 @@ std::string Situation::ToString() const {
 uint64_t TraceFingerprint(const ir::DepGraph& graph, const ir::Trace& trace) {
   uint64_t h = 0xabcdef12345678ull;
   for (uint32_t id : trace.node_ids) {
-    h = HashCombine(h, HashString(graph.nodes()[id].label));
+    h = HashCombine(h, graph.nodes()[id].shape_hash);
     h = HashCombine(h, id);
   }
   return h;

@@ -39,7 +39,7 @@ SelectivityBucket BucketOf(double selectivity);
 const char* BucketName(SelectivityBucket b);
 
 struct Situation {
-  uint64_t trace_fingerprint = 0;  ///< hash of node ids/labels
+  uint64_t trace_fingerprint = 0;  ///< hash of node ids + shape hashes
   std::map<std::string, Scheme> schemes;  ///< per read data array
   /// Chunk-variable inputs observed to carry a selection vector (sorted).
   /// Part of the situation like compression schemes: the positional and
@@ -53,7 +53,9 @@ struct Situation {
   std::string ToString() const;
 };
 
-/// Fingerprint helper for ir::Trace.
+/// Fingerprint of the code a trace compiles to: its node ids and each
+/// node's DepNode::shape_hash, so structurally different traces never share
+/// a cache entry.
 uint64_t TraceFingerprint(const ir::DepGraph& graph, const ir::Trace& trace);
 
 /// Thread-safe: a single cache is shared by all workers of a parallel

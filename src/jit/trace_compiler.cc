@@ -55,8 +55,8 @@ struct RunState {
   std::vector<std::vector<uint8_t>> write_bufs;
   // Destination position per kDataWrite output (evaluated before the call).
   std::vector<int64_t> write_pos;
-  // FOR references discovered while preparing inputs (by data name).
-  std::unordered_map<std::string, int64_t> for_refs;
+  // Block holding each kForDeltas input's window (found in pass 1).
+  std::vector<std::pair<const Block*, uint32_t>> for_blocks;
   // Output arrays pending publication.
   std::vector<ArrayPtr> out_arrays;
   std::vector<std::array<uint8_t, 8>> fold_bufs;
@@ -227,6 +227,18 @@ interp::InjectedTrace MakeInjection(std::shared_ptr<TraceEntry> entry,
                                     TraceTierOptions tier) {
   auto state = std::make_shared<RunState>();
   const GeneratedTrace& meta = entry->meta();
+  // Integer capture slot -> the kForDeltas input whose block reference it
+  // carries (codegen names it "__for_ref_<data>"), or -1 for a scalar
+  // looked up by name. Resolved once here, not per call.
+  std::vector<int> for_ref_input(meta.captures_i.size(), -1);
+  for (size_t c = 0; c < meta.captures_i.size(); ++c) {
+    for (size_t k = 0; k < meta.inputs.size(); ++k) {
+      if (meta.inputs[k].kind == TraceInputSpec::Kind::kForDeltas &&
+          meta.captures_i[c].first == "__for_ref_" + meta.inputs[k].name) {
+        for_ref_input[c] = static_cast<int>(k);
+      }
+    }
+  }
 
   InjectedTrace inj;
   inj.name = meta.name;
@@ -303,7 +315,9 @@ interp::InjectedTrace MakeInjection(std::shared_ptr<TraceEntry> entry,
     return true;
   };
 
-  inj.run = [entry, tier, state, chunk_size](Interpreter& in) -> Status {
+  inj.run = [entry, tier, state, chunk_size,
+             for_ref_input = std::move(for_ref_input)](Interpreter& in)
+      -> Status {
     const GeneratedTrace& meta = entry->meta();
     // Load the entry point per call (acquire): an asynchronous tier upgrade
     // publishing mid-query takes effect on the very next chunk.
@@ -323,7 +337,7 @@ interp::InjectedTrace MakeInjection(std::shared_ptr<TraceEntry> entry,
     st.scratch.resize(meta.inputs.size());
     st.write_bufs.resize(meta.outputs.size());
     st.write_pos.assign(meta.outputs.size(), 0);
-    st.for_refs.clear();
+    st.for_blocks.assign(meta.inputs.size(), {nullptr, 0});
     st.out_arrays.assign(meta.outputs.size(), nullptr);
     st.fold_bufs.resize(meta.outputs.size());
 
@@ -335,7 +349,8 @@ interp::InjectedTrace MakeInjection(std::shared_ptr<TraceEntry> entry,
     const sel_t* sel = nullptr;
     uint32_t sel_n = 0;
     ArrayPtr sel_owner;
-    for (const auto& spec : meta.inputs) {
+    for (size_t k = 0; k < meta.inputs.size(); ++k) {
+      const auto& spec = meta.inputs[k];
       switch (spec.kind) {
         case TraceInputSpec::Kind::kChunkVar: {
           AVM_ASSIGN_OR_RETURN(Value v, in.GetVar(spec.name));
@@ -373,6 +388,7 @@ interp::InjectedTrace MakeInjection(std::shared_ptr<TraceEntry> entry,
           AVM_ASSIGN_OR_RETURN(
               auto blk,
               b->column->BlockAt(b->col_offset + static_cast<uint64_t>(pos)));
+          st.for_blocks[k] = blk;
           // Clamp to the block so one scheme covers the whole window.
           const uint32_t block_remaining = blk.first->count - blk.second;
           const uint64_t avail =
@@ -419,25 +435,20 @@ interp::InjectedTrace MakeInjection(std::shared_ptr<TraceEntry> entry,
                             static_cast<uint64_t>(pos) * w;
           } else {
             st.scratch[k].resize(static_cast<size_t>(n) * w);
-            AVM_RETURN_NOT_OK(b->column->Read(
-                b->col_offset + static_cast<uint64_t>(pos), n,
-                st.scratch[k].data()));
+            AVM_RETURN_NOT_OK(in.ReadColumn(spec.name,
+                                            static_cast<uint64_t>(pos), n,
+                                            st.scratch[k].data()));
             st.in_ptrs[k] = st.scratch[k].data();
           }
           st.in_lens[k] = n;
           break;
         }
         case TraceInputSpec::Kind::kForDeltas: {
-          DataBinding* b = in.FindBinding(spec.name);
-          AVM_ASSIGN_OR_RETURN(int64_t pos, EvalPos(in, spec.pos));
-          AVM_ASSIGN_OR_RETURN(
-              auto blk,
-              b->column->BlockAt(b->col_offset + static_cast<uint64_t>(pos)));
+          const auto [block, offset] = st.for_blocks[k];
           st.scratch[k].resize(static_cast<size_t>(n) * sizeof(uint32_t));
           AVM_RETURN_NOT_OK(DecodeForDeltasRange32(
-              *blk.first, blk.second, n,
+              *block, offset, n,
               reinterpret_cast<uint32_t*>(st.scratch[k].data())));
-          st.for_refs["__for_ref_" + spec.name] = blk.first->for_ref;
           st.in_ptrs[k] = st.scratch[k].data();
           st.in_lens[k] = n;
           break;
@@ -453,13 +464,14 @@ interp::InjectedTrace MakeInjection(std::shared_ptr<TraceEntry> entry,
 
     // Captures.
     st.caps_i.clear();
-    for (const auto& [name, type] : meta.captures_i) {
-      auto ref = st.for_refs.find(name);
-      if (ref != st.for_refs.end()) {
-        st.caps_i.push_back(ref->second);
+    for (size_t c = 0; c < meta.captures_i.size(); ++c) {
+      if (for_ref_input[c] >= 0) {
+        st.caps_i.push_back(
+            st.for_blocks[static_cast<size_t>(for_ref_input[c])].first->for_ref);
         continue;
       }
-      AVM_ASSIGN_OR_RETURN(ScalarValue s, in.GetScalar(name));
+      AVM_ASSIGN_OR_RETURN(ScalarValue s,
+                           in.GetScalar(meta.captures_i[c].first));
       st.caps_i.push_back(s.AsI64());
     }
     st.caps_f.clear();

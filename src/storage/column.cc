@@ -105,47 +105,6 @@ double Column::CompressionRatio() const {
   return enc == 0 ? 1.0 : static_cast<double>(raw) / static_cast<double>(enc);
 }
 
-ColumnScanner::ColumnScanner(const Column* column) : column_(column) {}
-
-Status ColumnScanner::EnsureBlockDecoded(size_t block_idx) {
-  if (cached_block_ == block_idx) return Status::OK();
-  const Block& b = column_->block(block_idx);
-  cache_.resize(static_cast<size_t>(b.count) * TypeWidth(b.type));
-  AVM_RETURN_NOT_OK(DecodeBlock(b, cache_.data()));
-  cached_block_ = block_idx;
-  return Status::OK();
-}
-
-Result<uint32_t> ColumnScanner::Next(uint32_t len, void* out, Scheme* scheme) {
-  const size_t w = TypeWidth(column_->type());
-  auto* dst = static_cast<uint8_t*>(out);
-  uint32_t produced = 0;
-  bool first = true;
-  while (produced < len && row_ < column_->num_rows()) {
-    // Locate the block containing row_ by cumulative walk from the cached
-    // position (blocks can have heterogeneous counts).
-    uint64_t pos = 0;
-    size_t bi = 0;
-    while (bi < column_->num_blocks() &&
-           pos + column_->block(bi).count <= row_) {
-      pos += column_->block(bi).count;
-      ++bi;
-    }
-    const Block& b = column_->block(bi);
-    if (first && scheme != nullptr) *scheme = b.scheme;
-    first = false;
-    AVM_RETURN_NOT_OK(EnsureBlockDecoded(bi));
-    uint32_t off = static_cast<uint32_t>(row_ - pos);
-    uint32_t take = std::min(len - produced, b.count - off);
-    std::memcpy(dst + static_cast<size_t>(produced) * w,
-                cache_.data() + static_cast<size_t>(off) * w,
-                static_cast<size_t>(take) * w);
-    produced += take;
-    row_ += take;
-  }
-  return produced;
-}
-
 Status ColumnChunkCursor::EnsureBlockDecoded(size_t block_idx,
                                              uint64_t block_start) {
   if (cached_block_ == block_idx) return Status::OK();

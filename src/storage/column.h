@@ -44,12 +44,6 @@ class Column {
   /// Block containing `row`, plus the row's offset within it.
   Result<std::pair<const Block*, uint32_t>> BlockAt(uint64_t row) const;
 
-  /// Global row -> (block index, offset inside block).
-  std::pair<size_t, uint32_t> Locate(uint64_t row) const {
-    return {static_cast<size_t>(row / block_size_),
-            static_cast<uint32_t>(row % block_size_)};
-  }
-
   /// Total encoded payload bytes across blocks.
   size_t EncodedBytes() const;
   double CompressionRatio() const;
@@ -59,30 +53,6 @@ class Column {
   uint32_t block_size_;
   uint64_t num_rows_ = 0;
   std::vector<Block> blocks_;
-};
-
-/// Sequential reader that decompresses block-at-a-time into an internal
-/// buffer and serves chunk-sized slices; the common scan access path.
-class ColumnScanner {
- public:
-  explicit ColumnScanner(const Column* column);
-
-  /// Copy the next `len` values into `out`; returns values produced
-  /// (< len at end of column). Also reports the scheme of the block the
-  /// read started in, so the VM can detect scheme changes.
-  Result<uint32_t> Next(uint32_t len, void* out, Scheme* scheme = nullptr);
-
-  void SeekToStart() { row_ = 0; cached_block_ = SIZE_MAX; }
-  uint64_t position() const { return row_; }
-  bool AtEnd() const { return row_ >= column_->num_rows(); }
-
- private:
-  Status EnsureBlockDecoded(size_t block_idx);
-
-  const Column* column_;
-  uint64_t row_ = 0;
-  size_t cached_block_ = SIZE_MAX;
-  std::vector<uint8_t> cache_;  // decoded current block
 };
 
 /// Seekable block-at-a-time decoder for the streamed-scan path: decodes one

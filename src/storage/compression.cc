@@ -69,11 +69,6 @@ void Widen(const T* in, uint32_t n, int64_t* out) {
   for (uint32_t i = 0; i < n; ++i) out[i] = static_cast<int64_t>(in[i]);
 }
 
-template <typename T>
-void Narrow(const int64_t* in, uint32_t n, T* out) {
-  for (uint32_t i = 0; i < n; ++i) out[i] = static_cast<T>(in[i]);
-}
-
 Status EncodeRleInt(const int64_t* v, uint32_t n, Block* b) {
   std::vector<int64_t> values;
   std::vector<uint32_t> lengths;
@@ -136,7 +131,8 @@ Status EncodeDeltaInt(const int64_t* v, uint32_t n, Block* b) {
   std::vector<uint64_t> zz(n - 1);
   uint64_t maxzz = 0;
   for (uint32_t i = 1; i < n; ++i) {
-    zz[i - 1] = ZigzagEncode(v[i] - v[i - 1]);
+    zz[i - 1] = ZigzagEncode(static_cast<int64_t>(
+        static_cast<uint64_t>(v[i]) - static_cast<uint64_t>(v[i - 1])));
     maxzz = std::max(maxzz, zz[i - 1]);
   }
   b->bit_width = bits::BitWidth(maxzz);
@@ -233,7 +229,7 @@ Result<Block> EncodeBlock(Scheme scheme, TypeId t, const void* values,
 
   if (scheme == Scheme::kPlain) {
     b.data.resize(static_cast<size_t>(n) * TypeWidth(t));
-    std::memcpy(b.data.data(), values, b.data.size());
+    if (n > 0) std::memcpy(b.data.data(), values, b.data.size());
     return b;
   }
 
@@ -296,9 +292,27 @@ Result<Block> EncodeBlockAuto(TypeId t, const void* values, uint32_t n) {
 
 namespace {
 
-// Decode [offset, offset+len) of an integer-family block into int64.
-Status DecodeIntRange(const Block& b, uint32_t offset, uint32_t len,
-                      int64_t* out) {
+// Packed payload of a FOR/Dict/Delta block: everything after the
+// dictionary (Dict) or the whole data buffer (FOR, Delta).
+struct Packed {
+  const uint8_t* src;
+  size_t bytes;
+};
+
+Packed PackedPayload(const Block& b) {
+  size_t skip = 0;
+  if (b.scheme == Scheme::kDict) {
+    skip = static_cast<size_t>(b.dict_size) *
+           (IsFloatType(b.type) ? TypeWidth(b.type) : sizeof(int64_t));
+  }
+  return {b.data.data() + skip, b.data.size() - skip};
+}
+
+// Decode [offset, offset+len) of an integer-family block straight into the
+// column's type T (int8_t for bool); values are computed in int64 and
+// narrowed per value.
+template <typename T>
+Status DecodeIntRange(const Block& b, uint32_t offset, uint32_t len, T* out) {
   switch (b.scheme) {
     case Scheme::kRle: {
       const auto* values = reinterpret_cast<const int64_t*>(b.data.data());
@@ -310,43 +324,45 @@ Status DecodeIntRange(const Block& b, uint32_t offset, uint32_t len,
         // Emit the overlap of [pos, run_end) with [offset, offset+len).
         uint32_t lo = std::max(pos, offset);
         uint32_t hi = std::min(run_end, offset + len);
-        for (uint32_t i = lo; i < hi; ++i) out[o++] = values[r];
+        for (uint32_t i = lo; i < hi; ++i) out[o++] = static_cast<T>(values[r]);
         pos = run_end;
       }
       return Status::OK();
     }
     case Scheme::kDict: {
       const auto* dict = reinterpret_cast<const int64_t*>(b.data.data());
-      const uint8_t* packed = b.data.data() + b.dict_size * sizeof(int64_t);
-      for (uint32_t i = 0; i < len; ++i) {
-        uint64_t code = ReadBits(packed,
-                                 static_cast<size_t>(offset + i) * b.bit_width,
-                                 b.bit_width);
-        out[i] = dict[code];
-      }
+      const Packed p = PackedPayload(b);
+      UnpackRange(p.src, p.bytes, offset, len, b.bit_width,
+                  [&](size_t i, uint64_t code) {
+                    out[i] = static_cast<T>(dict[code]);
+                  });
       return Status::OK();
     }
     case Scheme::kFor: {
-      for (uint32_t i = 0; i < len; ++i) {
-        uint64_t d = ReadBits(b.data.data(),
-                              static_cast<size_t>(offset + i) * b.bit_width,
-                              b.bit_width);
-        out[i] = b.for_ref + static_cast<int64_t>(d);
-      }
+      // Unsigned add: the delta is the unsigned distance from the
+      // reference, and the sum wraps to the value (bit-identical, no UB).
+      const uint64_t ref = static_cast<uint64_t>(b.for_ref);
+      UnpackRange(b.data.data(), b.data.size(), offset, len, b.bit_width,
+                  [&](size_t i, uint64_t d) {
+                    out[i] = static_cast<T>(static_cast<int64_t>(ref + d));
+                  });
       return Status::OK();
     }
     case Scheme::kDelta: {
       // Sequential dependency: reconstruct the prefix up to offset+len.
-      int64_t cur = b.delta_first;
-      uint32_t o = 0;
-      if (offset == 0 && len > 0) out[o++] = cur;
-      for (uint32_t i = 1; i < b.count && o < len; ++i) {
-        uint64_t zz = ReadBits(b.data.data(),
-                               static_cast<size_t>(i - 1) * b.bit_width,
-                               b.bit_width);
-        cur += ZigzagDecode(zz);
-        if (i >= offset) out[o++] = cur;
-      }
+      // Delta i (1-based value index) is packed at field i - 1.
+      if (len == 0) return Status::OK();
+      // The running sum wraps like the encoder's unsigned differences.
+      uint64_t cur = static_cast<uint64_t>(b.delta_first);
+      if (offset == 0) out[0] = static_cast<T>(b.delta_first);
+      UnpackRange(b.data.data(), b.data.size(), 0, offset + len - 1,
+                  b.bit_width, [&](size_t k, uint64_t zz) {
+                    cur += static_cast<uint64_t>(ZigzagDecode(zz));
+                    if (k + 1 >= offset) {
+                      out[k + 1 - offset] =
+                          static_cast<T>(static_cast<int64_t>(cur));
+                    }
+                  });
       return Status::OK();
     }
     default:
@@ -365,8 +381,10 @@ Status DecodeBlockRange(const Block& b, uint32_t offset, uint32_t len,
   }
   if (b.scheme == Scheme::kPlain) {
     const size_t w = TypeWidth(b.type);
-    std::memcpy(out, b.data.data() + static_cast<size_t>(offset) * w,
-                static_cast<size_t>(len) * w);
+    if (len > 0) {
+      std::memcpy(out, b.data.data() + static_cast<size_t>(offset) * w,
+                  static_cast<size_t>(len) * w);
+    }
     return Status::OK();
   }
   if (IsFloatType(b.type)) {
@@ -389,13 +407,9 @@ Status DecodeBlockRange(const Block& b, uint32_t offset, uint32_t len,
         }
         if (b.scheme == Scheme::kDict) {
           const T* dict = reinterpret_cast<const T*>(b.data.data());
-          const uint8_t* packed = b.data.data() + b.dict_size * sizeof(T);
-          for (uint32_t i = 0; i < len; ++i) {
-            uint64_t code =
-                ReadBits(packed, static_cast<size_t>(offset + i) * b.bit_width,
-                         b.bit_width);
-            o[i] = dict[code];
-          }
+          const Packed p = PackedPayload(b);
+          UnpackRange(p.src, p.bytes, offset, len, b.bit_width,
+                      [&](size_t i, uint64_t code) { o[i] = dict[code]; });
           return Status::OK();
         }
         return Status::Internal("unhandled float scheme");
@@ -403,19 +417,14 @@ Status DecodeBlockRange(const Block& b, uint32_t offset, uint32_t len,
       return Status::Internal("unreachable");
     });
   }
-  // Integer family: decode via int64 then narrow.
-  std::vector<int64_t> wide(len);
-  AVM_RETURN_NOT_OK(DecodeIntRange(b, offset, len, wide.data()));
-  DispatchType(b.type, [&]<typename T>() {
-    if constexpr (!std::is_floating_point_v<T>) {
-      if constexpr (std::is_same_v<T, bool>) {
-        Narrow(wide.data(), len, static_cast<int8_t*>(out));
-      } else {
-        Narrow(wide.data(), len, static_cast<T*>(out));
-      }
+  return DispatchType(b.type, [&]<typename T>() -> Status {
+    if constexpr (std::is_same_v<T, bool>) {
+      return DecodeIntRange(b, offset, len, static_cast<int8_t*>(out));
+    } else if constexpr (!std::is_floating_point_v<T>) {
+      return DecodeIntRange(b, offset, len, static_cast<T*>(out));
     }
+    return Status::Internal("unreachable");
   });
-  return Status::OK();
 }
 
 Status DecodeBlock(const Block& b, void* out) {
@@ -426,7 +435,7 @@ Status DecodeForDeltas(const Block& b, uint64_t* out) {
   if (b.scheme != Scheme::kFor) {
     return Status::InvalidArgument("DecodeForDeltas on non-FOR block");
   }
-  BitUnpack(b.data.data(), b.count, b.bit_width, out);
+  BitUnpack(b.data.data(), b.data.size(), b.count, b.bit_width, out);
   return Status::OK();
 }
 
@@ -439,11 +448,10 @@ Status DecodeForDeltasRange32(const Block& b, uint32_t offset, uint32_t len,
     return Status::InvalidArgument("FOR deltas wider than 32 bits");
   }
   if (offset + len > b.count) return Status::OutOfRange("delta range");
-  for (uint32_t i = 0; i < len; ++i) {
-    out[i] = static_cast<uint32_t>(
-        ReadBits(b.data.data(),
-                 static_cast<size_t>(offset + i) * b.bit_width, b.bit_width));
-  }
+  UnpackRange(b.data.data(), b.data.size(), offset, len, b.bit_width,
+              [out](size_t i, uint64_t d) {
+                out[i] = static_cast<uint32_t>(d);
+              });
   return Status::OK();
 }
 
@@ -479,13 +487,11 @@ Status DecodeDictCodes(const Block& b, uint32_t* codes) {
   if (b.scheme != Scheme::kDict) {
     return Status::InvalidArgument("DecodeDictCodes on non-dict block");
   }
-  const size_t value_width =
-      IsFloatType(b.type) ? TypeWidth(b.type) : sizeof(int64_t);
-  const uint8_t* packed = b.data.data() + b.dict_size * value_width;
-  for (uint32_t i = 0; i < b.count; ++i) {
-    codes[i] = static_cast<uint32_t>(
-        ReadBits(packed, static_cast<size_t>(i) * b.bit_width, b.bit_width));
-  }
+  const Packed p = PackedPayload(b);
+  UnpackRange(p.src, p.bytes, 0, b.count, b.bit_width,
+              [codes](size_t i, uint64_t code) {
+                codes[i] = static_cast<uint32_t>(code);
+              });
   return Status::OK();
 }
 

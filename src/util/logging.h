@@ -17,15 +17,11 @@ void SetLogLevel(LogLevel level);
 namespace internal {
 class LogMessage {
  public:
-  LogMessage(LogLevel level, const char* file, int line) : level_(level) {
+  LogMessage(LogLevel level, const char* file, int line) {
     stream_ << "[" << LevelName(level) << " " << Basename(file) << ":" << line
             << "] ";
   }
-  ~LogMessage() {
-    if (level_ >= GetLogLevel()) {
-      std::fprintf(stderr, "%s\n", stream_.str().c_str());
-    }
-  }
+  ~LogMessage() { std::fprintf(stderr, "%s\n", stream_.str().c_str()); }
   std::ostringstream& stream() { return stream_; }
 
  private:
@@ -45,13 +41,19 @@ class LogMessage {
     }
     return base;
   }
-  LogLevel level_;
   std::ostringstream stream_;
 };
 }  // namespace internal
 
-#define AVM_LOG(level)                                                   \
-  ::avm::internal::LogMessage(::avm::LogLevel::level, __FILE__, __LINE__) \
-      .stream()
+/// `AVM_LOG(kDebug) << a << b;` — below the threshold the statement costs
+/// one level check: no LogMessage is built and `a`, `b` are not evaluated.
+/// (The empty then-branch keeps a caller's trailing `else` bound to the
+/// caller's own `if`.)
+#define AVM_LOG(level)                                                 \
+  if (::avm::LogLevel::level < ::avm::GetLogLevel()) {                 \
+  } else                                                               \
+    ::avm::internal::LogMessage(::avm::LogLevel::level, __FILE__,      \
+                                __LINE__)                              \
+        .stream()
 
 }  // namespace avm

@@ -595,5 +595,48 @@ TEST(SessionTest, Q1RepeatedRunsHitCrossRunTraceCache) {
   EXPECT_GT(r2.value().traces_reused, 0u);
 }
 
+// Two query shapes whose projection lambdas print identically for their
+// first 24 characters and differ only after them (in the added constant).
+// On one Session the second shape must compile its own trace: a trace-cache
+// key built from truncated node labels would serve it the first shape's
+// code and return the first shape's sum.
+TEST(SessionTest, ShapesSharingALabelPrefixGetTheirOwnTraces) {
+  if (!jit::SourceJit::Available()) {
+    GTEST_SKIP() << "no host compiler";
+  }
+  constexpr uint64_t kRows = 60'000;
+  Table table(Schema({{"a", TypeId::kI64}, {"b", TypeId::kI64}}));
+  Rng rng(5);
+  std::vector<int64_t> a(kRows), b(kRows);
+  for (uint64_t i = 0; i < kRows; ++i) {
+    a[i] = rng.NextInRange(0, 999);
+    b[i] = rng.NextInRange(0, 999);
+  }
+  ASSERT_TRUE(table.column(0).AppendValues(a.data(), kRows).ok());
+  ASSERT_TRUE(table.column(1).AppendValues(b.data(), kRows).ok());
+
+  SessionOptions so;
+  so.num_workers = 1;
+  Session session(so);
+  QueryOptions qo;
+  qo.strategy = ExecutionStrategy::kAdaptiveJit;
+  qo.vm.optimize_after_iterations = 4;
+  for (int64_t k : {1'000'000, 2'000'000}) {
+    QueryBuilder qb(table);
+    qb.Project("p", dsl::Var("a") * dsl::ConstI(3) +
+                        dsl::Var("b") * dsl::ConstI(5) + dsl::ConstI(k))
+        .Sum("s", dsl::Var("p"));
+    Query q = qb.Build().ValueOrDie();
+    auto report = session.Run(q.context(), qo);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_GT(report.value().traces_compiled + report.value().disk_cache_hits,
+              0u)
+        << "k=" << k << " reused another shape's trace";
+    int64_t expect = 0;
+    for (uint64_t i = 0; i < kRows; ++i) expect += a[i] * 3 + b[i] * 5 + k;
+    EXPECT_EQ(q.aggregate("s")[0], expect) << "k=" << k;
+  }
+}
+
 }  // namespace
 }  // namespace avm::engine

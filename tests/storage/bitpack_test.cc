@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+
 #include "util/rng.h"
 
 namespace avm {
@@ -22,7 +25,7 @@ TEST_P(BitPackWidthTest, RoundTripsRandomValues) {
   std::vector<uint8_t> packed;
   BitPack(values.data(), n, width, &packed);
   std::vector<uint64_t> decoded(n, 0xdeadbeef);
-  BitUnpack(packed.data(), n, width, decoded.data());
+  BitUnpack(packed.data(), packed.size(), n, width, decoded.data());
   EXPECT_EQ(values, decoded) << "width=" << width;
 }
 
@@ -39,8 +42,45 @@ TEST_P(BitPackWidthTest, RandomAccessDecode) {
   BitPack(values.data(), n, width, &packed);
   // Decode a middle range only.
   std::vector<uint64_t> part(20);
-  BitUnpackAt(packed.data(), 37, 20, width, part.data());
+  BitUnpackAt(packed.data(), packed.size(), 37, 20, width, part.data());
   for (size_t i = 0; i < 20; ++i) EXPECT_EQ(part[i], values[37 + i]);
+}
+
+// Kernel parity against the ReadBits reference: every start offset, ranges
+// ending on the payload's last field, payload tails at every bit alignment.
+// The payload is copied into a heap buffer of exactly the length the kernel
+// is told — both the BitPackedBytes length (1 slack byte) and the slack-free
+// length — so an ASan build reports any read past the payload.
+TEST_P(BitPackWidthTest, UnpackRangeMatchesReadBitsAtPayloadEnd) {
+  const uint32_t width = GetParam();
+  Rng rng(width * 13 + 5);
+  const uint64_t mask =
+      width == 64 ? ~uint64_t{0}
+                  : (width == 0 ? 0 : (uint64_t{1} << width) - 1);
+  for (size_t total = 64; total <= 72; ++total) {
+    std::vector<uint64_t> values(total);
+    for (auto& v : values) v = rng.Next() & mask;
+    std::vector<uint8_t> packed;
+    BitPack(values.data(), total, width, &packed);
+    const size_t exact = width == 0 ? 0 : BitPackedBytes(total, width);
+    ASSERT_EQ(packed.size(), exact);
+    for (size_t bytes : {exact, (total * width + 7) / 8}) {
+      auto payload = std::make_unique<uint8_t[]>(bytes);
+      if (bytes > 0) std::memcpy(payload.get(), packed.data(), bytes);
+      for (size_t first = 0; first < 64; ++first) {
+        const size_t n = total - first;
+        std::vector<uint64_t> got(n, 0xdeadbeef);
+        UnpackRange(payload.get(), bytes, first, n, width,
+                    [&](size_t i, uint64_t v) { got[i] = v; });
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(got[i], ReadBits(payload.get(), (first + i) * width, width))
+              << "width=" << width << " total=" << total << " bytes=" << bytes
+              << " first=" << first << " i=" << i;
+          ASSERT_EQ(got[i], values[first + i]);
+        }
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWidths, BitPackWidthTest,
@@ -52,7 +92,7 @@ TEST(BitPackTest, WidthZeroDecodesZeros) {
   BitPack(v, 4, 0, &packed);
   EXPECT_TRUE(packed.empty());
   uint64_t out[4] = {9, 9, 9, 9};
-  BitUnpack(packed.data(), 4, 0, out);
+  BitUnpack(packed.data(), packed.size(), 4, 0, out);
   for (uint64_t x : out) EXPECT_EQ(x, 0u);
 }
 
@@ -63,7 +103,7 @@ TEST(BitPackTest, AppendsToExistingBuffer) {
   EXPECT_EQ(buf[0], 0xff);
   EXPECT_EQ(buf[1], 0xee);
   uint64_t out[2];
-  BitUnpack(buf.data() + 2, 2, 4, out);
+  BitUnpack(buf.data() + 2, buf.size() - 2, 2, 4, out);
   EXPECT_EQ(out[0], 5u);
   EXPECT_EQ(out[1], 6u);
 }

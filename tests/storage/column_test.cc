@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "storage/datagen.h"
 #include "storage/table.h"
 
@@ -83,38 +85,39 @@ TEST(ColumnTest, CompressionRatioReported) {
   EXPECT_GT(col.CompressionRatio(), 4.0);
 }
 
-TEST(ScannerTest, SequentialChunksMatchColumn) {
+TEST(ChunkCursorTest, SequentialChunksMatchColumn) {
   Column col(TypeId::kI64, 777);  // deliberately unaligned block size
   std::vector<int64_t> v(5000);
   for (int i = 0; i < 5000; ++i) v[i] = i;
   ASSERT_TRUE(col.AppendValues(v.data(), 5000).ok());
 
-  ColumnScanner scan(&col);
+  ColumnChunkCursor cursor(&col);
   std::vector<int64_t> got;
   std::vector<int64_t> buf(1024);
-  while (!scan.AtEnd()) {
+  for (uint64_t row = 0; row < col.num_rows(); row += 1024) {
+    const uint32_t take =
+        static_cast<uint32_t>(std::min<uint64_t>(1024, col.num_rows() - row));
     Scheme s;
-    auto n = scan.Next(1024, buf.data(), &s);
-    ASSERT_TRUE(n.ok());
-    got.insert(got.end(), buf.begin(), buf.begin() + n.value());
+    ASSERT_TRUE(cursor.ReadAt(row, take, buf.data(), &s).ok());
+    EXPECT_EQ(s, col.SchemeAt(row).value());
+    got.insert(got.end(), buf.begin(), buf.begin() + take);
   }
   EXPECT_EQ(got, v);
+  // A forward scan decodes every block exactly once.
+  EXPECT_EQ(cursor.blocks_decoded(), col.num_blocks());
 }
 
-TEST(ScannerTest, SeekRestarts) {
+TEST(ChunkCursorTest, SeekBackRestarts) {
   Column col(TypeId::kI64, 100);
   std::vector<int64_t> v(300);
   for (int i = 0; i < 300; ++i) v[i] = i;
   ASSERT_TRUE(col.AppendValues(v.data(), 300).ok());
-  ColumnScanner scan(&col);
+  ColumnChunkCursor cursor(&col);
   std::vector<int64_t> buf(300);
-  ASSERT_TRUE(scan.Next(300, buf.data()).ok());
-  scan.SeekToStart();
-  EXPECT_EQ(scan.position(), 0u);
-  auto n = scan.Next(10, buf.data());
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(n.value(), 10u);
+  ASSERT_TRUE(cursor.ReadAt(0, 300, buf.data()).ok());
+  ASSERT_TRUE(cursor.ReadAt(0, 10, buf.data()).ok());
   EXPECT_EQ(buf[9], 9);
+  EXPECT_TRUE(cursor.ReadAt(295, 10, buf.data()).IsOutOfRange());
 }
 
 TEST(TableTest, SchemaLookupAndRowCount) {

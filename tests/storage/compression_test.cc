@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
+#include "storage/column.h"
 #include "storage/datagen.h"
 
 namespace avm {
@@ -260,6 +264,111 @@ TEST(EdgeTest, ExtremeValuesFor) {
   ASSERT_TRUE(DecodeBlock(blk.value(), out.data()).ok());
   EXPECT_EQ(v, out);
 }
+
+// ---------------------------------------------------------------------------
+// DecodeBlockRange parity for every scheme x type: each window (including the
+// block's last window) must equal the encoded values narrowed to the column
+// type, and reads spanning two blocks must agree through Column::Read and
+// ColumnChunkCursor. Block payloads are shrunk to their exact size so an ASan
+// build reports any decoder read past the packed payload.
+// ---------------------------------------------------------------------------
+
+// Values for a column of `t` in the raw layout the column stores (bool as
+// one 0/1 byte). `wide` draws from (most of) the type's range so FOR/Delta
+// widths exceed the kernel's word path; otherwise values are narrow.
+std::vector<uint8_t> MakeTypedValues(TypeId t, uint32_t n, bool wide,
+                                     uint64_t seed) {
+  DataGen gen(seed);
+  std::vector<uint8_t> raw(static_cast<size_t>(n) * TypeWidth(t));
+  DispatchType(t, [&]<typename T>() {
+    T* out = reinterpret_cast<T*>(raw.data());
+    if constexpr (std::is_same_v<T, bool>) {
+      auto v = gen.UniformI64(n, 0, 1);
+      for (uint32_t i = 0; i < n; ++i) out[i] = v[i] != 0;
+    } else if constexpr (std::is_floating_point_v<T>) {
+      auto v = gen.UniformI64(n, -20, 20);
+      for (uint32_t i = 0; i < n; ++i) out[i] = static_cast<T>(v[i]) / 4;
+    } else {
+      // i64 stays within +-2^61 so the encoder's differences fit.
+      const int64_t hi =
+          std::is_same_v<T, int64_t>
+              ? (int64_t{1} << 61)
+              : static_cast<int64_t>(std::numeric_limits<T>::max());
+      const int64_t lo = std::is_same_v<T, int64_t>
+                             ? -hi
+                             : static_cast<int64_t>(std::numeric_limits<T>::min());
+      auto v = wide ? gen.UniformI64(n, lo, hi) : gen.UniformI64(n, 0, 90);
+      for (uint32_t i = 0; i < n; ++i) out[i] = static_cast<T>(v[i]);
+    }
+  });
+  return raw;
+}
+
+std::vector<Scheme> SchemesFor(TypeId t) {
+  if (IsFloatType(t)) return {Scheme::kPlain, Scheme::kRle, Scheme::kDict};
+  return {Scheme::kPlain, Scheme::kRle, Scheme::kDict, Scheme::kFor,
+          Scheme::kDelta};
+}
+
+class DecodeParity : public ::testing::TestWithParam<TypeId> {};
+
+TEST_P(DecodeParity, WindowsMatchEncodedValues) {
+  const TypeId t = GetParam();
+  const size_t w = TypeWidth(t);
+  constexpr uint32_t kN = 1000;
+  for (bool wide : {false, true}) {
+    std::vector<uint8_t> raw = MakeTypedValues(t, kN, wide, 77);
+    for (Scheme s : SchemesFor(t)) {
+      auto encoded = EncodeBlock(s, t, raw.data(), kN);
+      ASSERT_TRUE(encoded.ok()) << encoded.status().ToString();
+      Block b = std::move(encoded).value();
+      b.data.shrink_to_fit();
+      const std::pair<uint32_t, uint32_t> windows[] = {
+          {0, kN},     {kN - 1, 1},  {kN - 7, 7}, {kN - 64, 64},
+          {kN - 333, 333}, {1, 63},  {500, 0},    {123, 456}};
+      for (auto [off, len] : windows) {
+        std::vector<uint8_t> out(static_cast<size_t>(len) * w + 1, 0xab);
+        ASSERT_TRUE(DecodeBlockRange(b, off, len, out.data()).ok());
+        EXPECT_EQ(std::memcmp(out.data(), raw.data() + off * w, len * w), 0)
+            << TypeName(t) << " " << SchemeName(s) << " wide=" << wide
+            << " [" << off << ", +" << len << ")";
+        EXPECT_EQ(out.back(), 0xab) << "decode wrote past its window";
+      }
+    }
+  }
+}
+
+TEST_P(DecodeParity, ReadsSpanningTwoBlocks) {
+  const TypeId t = GetParam();
+  const size_t w = TypeWidth(t);
+  constexpr uint32_t kBlock = 600;
+  for (Scheme s : SchemesFor(t)) {
+    std::vector<uint8_t> raw = MakeTypedValues(t, 2 * kBlock, true, 91);
+    Column col(t, kBlock);
+    ASSERT_TRUE(col.AppendBlockWithScheme(s, raw.data(), kBlock).ok());
+    ASSERT_TRUE(
+        col.AppendBlockWithScheme(s, raw.data() + kBlock * w, kBlock).ok());
+    ColumnChunkCursor cursor(&col);
+    for (auto [row, len] : {std::pair<uint64_t, uint32_t>{kBlock - 1, 2},
+                            {kBlock - 300, 600},
+                            {0, 2 * kBlock},
+                            {2 * kBlock - 5, 5}}) {
+      std::vector<uint8_t> via_read(static_cast<size_t>(len) * w);
+      std::vector<uint8_t> via_cursor(via_read.size());
+      ASSERT_TRUE(col.Read(row, len, via_read.data()).ok());
+      ASSERT_TRUE(cursor.ReadAt(row, len, via_cursor.data()).ok());
+      EXPECT_EQ(std::memcmp(via_read.data(), raw.data() + row * w, len * w), 0)
+          << TypeName(t) << " " << SchemeName(s) << " row=" << row;
+      EXPECT_EQ(via_cursor, via_read) << TypeName(t) << " " << SchemeName(s);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTypes, DecodeParity,
+                         ::testing::Values(TypeId::kBool, TypeId::kI8,
+                                           TypeId::kI16, TypeId::kI32,
+                                           TypeId::kI64, TypeId::kF32,
+                                           TypeId::kF64));
 
 }  // namespace
 }  // namespace avm

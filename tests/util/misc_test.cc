@@ -75,5 +75,21 @@ TEST(LoggingTest, LevelGating) {
   SetLogLevel(old);
 }
 
+TEST(LoggingTest, FilteredStatementDoesNotEvaluateOperands) {
+  LogLevel old = GetLogLevel();
+  SetLogLevel(LogLevel::kWarning);
+  int evaluated = 0;
+  auto operand = [&evaluated] {
+    ++evaluated;
+    return "x";
+  };
+  AVM_LOG(kDebug) << operand();
+  AVM_LOG(kInfo) << operand() << operand();
+  EXPECT_EQ(evaluated, 0);
+  AVM_LOG(kWarning) << operand();
+  EXPECT_EQ(evaluated, 1);
+  SetLogLevel(old);
+}
+
 }  // namespace
 }  // namespace avm

@@ -141,6 +141,45 @@ TEST(AdaptiveVmTest, SchemeChangeTriggersFallbackAndRespecialization) {
   EXPECT_GT(report.injection_runs, 0u);
 }
 
+// Injected traces read column bindings through the interpreter's streaming
+// cursor: over a Delta-compressed (sorted) column, whose random-access
+// decode re-walks the block from its first value, a forward scan must still
+// decode every block exactly once — interpreted and compiled reads alike —
+// and count each in chunks_streamed.
+TEST(AdaptiveVmTest, InjectedColumnReadsStreamEachBlockOnce) {
+  if (!jit::SourceJit::Available()) GTEST_SKIP();
+  constexpr uint32_t kBlock = 4096;
+  constexpr uint32_t kBlocks = 12;
+  Column col(TypeId::kI64, kBlock);
+  DataGen gen(9);
+  auto sorted = gen.SortedI64(kBlock * kBlocks, 0, 1'000'000);
+  for (uint32_t b = 0; b < kBlocks; ++b) {
+    ASSERT_TRUE(col.AppendBlockWithScheme(Scheme::kDelta,
+                                          sorted.data() + b * kBlock, kBlock)
+                    .ok());
+  }
+  const uint64_t kN = col.num_rows();
+  dsl::Program p = dsl::MakeMapPipeline(
+      TypeId::kI64, dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(2)),
+      static_cast<int64_t>(kN));
+  ASSERT_TRUE(dsl::TypeCheck(&p).ok());
+  VmOptions opts;
+  opts.optimize_after_iterations = 4;
+  AdaptiveVm vm(&p, opts);
+  std::vector<int64_t> out(kN, 0);
+  ASSERT_TRUE(
+      vm.interpreter().BindData("src", DataBinding::FromColumn(&col)).ok());
+  ASSERT_TRUE(vm.interpreter()
+                  .BindData("out", DataBinding::Raw(TypeId::kI64, out.data(),
+                                                    kN, true))
+                  .ok());
+  ASSERT_TRUE(vm.Run().ok());
+  for (uint64_t i = 0; i < kN; ++i) ASSERT_EQ(out[i], sorted[i] * 2);
+  VmReport report = vm.Report();
+  ASSERT_GT(report.injection_runs, 0u);
+  EXPECT_EQ(report.chunks_streamed, kBlocks);
+}
+
 TEST(AdaptiveVmTest, TraceCacheReusedAcrossSituationRecurrence) {
   if (!jit::SourceJit::Available()) GTEST_SKIP();
   const int64_t kN = 96 * 1024;
