@@ -11,7 +11,7 @@
 #include "bench/bench_util.h"
 #include "dsl/builder.h"
 #include "engine/exec_engine.h"
-#include "jit/source_jit.h"
+#include "jit/backend_cc.h"
 #include "storage/datagen.h"
 
 namespace {
@@ -63,7 +63,7 @@ BENCHMARK(BM_ChunkSweep_Interpreted)
     ->UseRealTime();
 
 void BM_ChunkSweep_Jit(benchmark::State& state) {
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     state.SkipWithError("no host compiler");
     return;
   }

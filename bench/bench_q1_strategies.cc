@@ -12,7 +12,7 @@
 
 #include "bench/bench_util.h"
 #include "engine/session.h"
-#include "jit/source_jit.h"
+#include "jit/backend_cc.h"
 #include "relational/q1.h"
 
 namespace {
@@ -73,7 +73,7 @@ void BM_Q1_VectorizedCompact(benchmark::State& state) {
 BENCHMARK(BM_Q1_VectorizedCompact)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 void BM_Q1_CompiledWholeQuery(benchmark::State& state) {
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     state.SkipWithError("no host compiler");
     return;
   }
@@ -100,7 +100,7 @@ void RunEngineBench(benchmark::State& state, engine::EngineOptions opts,
   const Table& t = SharedLineitem();
   uint64_t traces = 0, injections = 0;
   size_t morsels = 0;
-  // Warm the process-wide source-JIT cache outside the timing loop so the
+  // Warm the process-wide JIT backend memo outside the timing loop so the
   // adaptive-jit rows measure steady-state compiled execution instead of
   // one-off host-compiler invocations.
   {
@@ -161,7 +161,7 @@ BENCHMARK(BM_Q1_EngineInterpretedParallel4)
     ->UseRealTime();
 
 void BM_Q1_EngineAdaptiveJit(benchmark::State& state) {
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     state.SkipWithError("no host compiler");
     return;
   }
@@ -175,7 +175,7 @@ BENCHMARK(BM_Q1_EngineAdaptiveJit)
     ->UseRealTime();
 
 void BM_Q1_EngineAdaptiveJitParallel4(benchmark::State& state) {
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     state.SkipWithError("no host compiler");
     return;
   }
@@ -243,7 +243,7 @@ BENCHMARK(BM_Q1_SessionConcurrentClients)
     ->UseRealTime();
 
 void BM_Q1_SessionConcurrentClientsJit(benchmark::State& state) {
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     state.SkipWithError("no host compiler");
     return;
   }

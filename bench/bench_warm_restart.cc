@@ -27,8 +27,8 @@
 #include "bench/bench_util.h"
 #include "engine/exec_engine.h"
 #include "engine/query_builder.h"
+#include "jit/backend_cc.h"
 #include "jit/disk_cache.h"
-#include "jit/source_jit.h"
 #include "relational/q1.h"
 #include "storage/datagen.h"
 #include "util/rng.h"
@@ -133,7 +133,7 @@ int RunChild(const std::string& dir, const char* task, const char* tier) {
 void RunProcessBench(benchmark::State& state, const char* task,
                      uint64_t tuples, bool warm, const char* tier,
                      const char* label) {
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     state.SkipWithError("no host compiler");
     return;
   }
@@ -199,7 +199,7 @@ void BM_FirstQuery_Q1_InProcess(benchmark::State& state) {
   // populated dir, with the ReportJit counters attached so the JSON row
   // records compiles vs disk hits. (Backend memoization makes repeated
   // in-process "cold" runs free, hence cold has no in-process row.)
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     state.SkipWithError("no host compiler");
     return;
   }

@@ -40,4 +40,8 @@ std::string VerifyResult::ToString() const {
   return os.str();
 }
 
+Status VerifyResult::ToStatus() const {
+  return clean() ? Status::OK() : Status::NotImplemented(ToString());
+}
+
 }  // namespace avm::analysis

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "util/status.h"
+
 namespace avm::analysis {
 
 /// One rule violation: which rule, where, and how to fix it.
@@ -28,7 +30,7 @@ struct Diagnostic {
 };
 
 /// The outcome of one verifier run: all diagnostics, in detection order
-/// (the first one mirrors what codegen's first decline would report).
+/// (the first one leads the decline message; see ToStatus).
 struct VerifyResult {
   std::vector<Diagnostic> diagnostics;
 
@@ -40,6 +42,10 @@ struct VerifyResult {
 
   /// Newline-joined ToString of every diagnostic ("" when clean).
   std::string ToString() const;
+
+  /// OK when clean; otherwise the trace decline: NotImplemented whose
+  /// message is ToString(), so it leads with the first "[rule-id]".
+  Status ToStatus() const;
 };
 
 }  // namespace avm::analysis

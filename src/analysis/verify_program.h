@@ -7,9 +7,8 @@
 // table — bind-role consistency (no writes into read-only arrays, no reads
 // of privatized accumulators, row-window scaling under join fan-out, no
 // positional mixing of pre-/post-expand iteration domains). It is wired
-// into QueryBuilder::Build (always on), AdaptiveVm program load
-// (VmOptions::verify_programs / AVM_VERIFY), and the below-facade bench
-// fixtures, so no program reaches the interpreter unchecked.
+// into QueryBuilder::Build (always on) and the below-facade bench
+// fixtures, so no engine program reaches the interpreter unchecked.
 //
 // The program must be type-checked (dsl::TypeCheck) first: the prim rules
 // normalize lambdas against the annotated argument types.

@@ -24,17 +24,18 @@ using ir::DepNode;
 using ir::PrimProgram;
 using ir::Trace;
 
-/// Mirrors jit::TraceEmitter's analysis passes (codegen.cc), emitting a
-/// rule-id'd Diagnostic wherever codegen would decline. The pass order and
-/// per-node iteration order match codegen exactly so the verifier's FIRST
-/// diagnostic corresponds to the decline message the VM would report.
+/// Fills the TraceAnalysis and emits a rule-id'd Diagnostic for every
+/// shape codegen cannot express. Passes run in a fixed order (statement
+/// analysis, selection dependence, region and per-node shape rules,
+/// boundary checks, value arguments), which fixes the first diagnostic —
+/// the one that leads the decline message.
 class TraceVerifier {
  public:
   TraceVerifier(const dsl::Program& program, const DepGraph& graph,
                 const Trace& trace, const TraceContext& ctx,
-                VerifyResult* out)
+                VerifyResult* out, TraceAnalysis* analysis)
       : program_(program), graph_(graph), trace_(trace), ctx_(ctx),
-        out_(out) {}
+        out_(out), a_(*analysis) {}
 
   void Run() {
     AnalyzeStatements();
@@ -60,24 +61,10 @@ class TraceVerifier {
     out_->diagnostics.push_back(std::move(d));
   }
 
-  bool InTrace(uint32_t id) const { return trace_node_set_.contains(id); }
-  bool SelDependent(uint32_t id) const {
-    return sel_dependent_.contains(id);
-  }
-  bool DependsOnFilter(uint32_t node_id) const {
-    if (filter_node_ < 0) return false;
-    if (node_id == static_cast<uint32_t>(filter_node_)) return false;
-    std::vector<uint32_t> stack{node_id};
-    std::set<uint32_t> seen;
-    while (!stack.empty()) {
-      uint32_t id = stack.back();
-      stack.pop_back();
-      for (uint32_t in : graph_.nodes()[id].inputs) {
-        if (in == static_cast<uint32_t>(filter_node_)) return true;
-        if (seen.insert(in).second && InTrace(in)) stack.push_back(in);
-      }
-    }
-    return false;
+  bool InTrace(uint32_t id) const { return a_.InTrace(id); }
+  bool SelDependent(uint32_t id) const { return a_.SelDependent(id); }
+  bool DependsOnFilter(uint32_t id) const {
+    return a_.DependsOnFilter(graph_, id);
   }
 
   void AnalyzeStatements();
@@ -92,20 +79,15 @@ class TraceVerifier {
   const Trace& trace_;
   const TraceContext& ctx_;
   VerifyResult* out_;
-
-  std::unordered_set<uint32_t> trace_node_set_;
-  std::unordered_map<const Expr*, uint32_t> expr_to_node_;
-  std::unordered_map<std::string, TypeId> let_types_;
+  TraceAnalysis& a_;
+  /// (body-statement ordinal, var) of every scalar assignment in the loop
+  /// body — the capture-freshness rules.
   std::vector<std::pair<uint32_t, std::string>> body_assigns_;
-  std::unordered_set<uint32_t> sel_dependent_;
-  std::set<std::string> active_sel_inputs_;
-  bool sel_mode_ = false;
-  int filter_node_ = -1;
 };
 
 void TraceVerifier::AnalyzeStatements() {
-  for (uint32_t id : trace_.node_ids) trace_node_set_.insert(id);
-  for (const auto& n : graph_.nodes()) expr_to_node_[n.expr] = n.id;
+  for (uint32_t id : trace_.node_ids) a_.nodes.insert(id);
+  for (const auto& n : graph_.nodes()) a_.expr_to_node[n.expr] = n.id;
 
   const std::vector<StmtPtr>* body = &program_.stmts;
   for (const auto& s : program_.stmts) {
@@ -119,7 +101,7 @@ void TraceVerifier::AnalyzeStatements() {
       [&](const std::vector<StmtPtr>& stmts) {
         for (const auto& s : stmts) {
           if (s->kind == StmtKind::kLet && s->expr) {
-            let_types_[s->var] = s->expr->type;
+            a_.let_types[s->var] = s->expr->type;
           }
           collect(s->body);
           collect(s->else_body);
@@ -141,14 +123,15 @@ void TraceVerifier::AnalyzeStatements() {
   }
 
   // Statement coverage: a trace must cover every skeleton node of each
-  // statement it touches, and at least one statement overall.
+  // statement it touches, and at least one statement overall. The first
+  // fully covered statement anchors the injection.
   bool found_any = false;
   for (const auto& s : *body) {
     if (s->expr == nullptr) continue;
     std::vector<uint32_t> stmt_nodes;
     std::function<void(const Expr&)> walk = [&](const Expr& e) {
-      auto it = expr_to_node_.find(&e);
-      if (it != expr_to_node_.end()) stmt_nodes.push_back(it->second);
+      auto it = a_.expr_to_node.find(&e);
+      if (it != a_.expr_to_node.end()) stmt_nodes.push_back(it->second);
       for (const auto& a : e.args) walk(*a);
       if (e.body) walk(*e.body);
     };
@@ -166,7 +149,10 @@ void TraceVerifier::AnalyzeStatements() {
           "skeleton nodes are only partially covered)",
           "extend or shrink the region to whole statements",
           static_cast<int>(stmt_nodes.front()));
+      continue;
     }
+    if (a_.covered_stmt_ids.empty()) a_.anchor_stmt_id = s->id;
+    a_.covered_stmt_ids.push_back(s->id);
   }
   if (!found_any) {
     Add("trace-empty", "trace covers no statements",
@@ -177,17 +163,16 @@ void TraceVerifier::AnalyzeStatements() {
 void TraceVerifier::ComputeSelDependence() {
   for (const auto& name : trace_.inputs) {
     if (program_.FindData(name) != nullptr) continue;
-    if (ctx_.sel_inputs.contains(name)) active_sel_inputs_.insert(name);
+    if (ctx_.sel_inputs.contains(name)) a_.sel_inputs.insert(name);
   }
-  sel_mode_ = !active_sel_inputs_.empty();
-  if (!sel_mode_) return;
+  if (!a_.sel_mode()) return;
 
   for (uint32_t id : trace_.node_ids) {
     const DepNode& n = graph_.nodes()[id];
     bool dep = false;
     std::function<void(const Expr&)> walk = [&](const Expr& e) {
       if (e.kind == ExprKind::kVarRef &&
-          active_sel_inputs_.contains(e.var)) {
+          a_.sel_inputs.contains(e.var)) {
         dep = true;
       }
       for (const auto& a : e.args) {
@@ -198,7 +183,7 @@ void TraceVerifier::ComputeSelDependence() {
     for (uint32_t in : n.inputs) {
       if (InTrace(in) && SelDependent(in)) dep = true;
     }
-    if (dep) sel_dependent_.insert(id);
+    if (dep) a_.sel_dependent.insert(id);
   }
 }
 
@@ -268,9 +253,9 @@ void TraceVerifier::Validate() {
     }
   }
 
-  // Per-node shape rules, in trace order. filter_node_ is discovered
-  // mid-walk exactly as codegen does, so a scatter BEFORE the filter sees
-  // restriction levels without filter knowledge — same as the decline side.
+  // Per-node shape rules, in trace order. The filter node is recorded
+  // mid-walk, so a scatter BEFORE the filter sees restriction levels
+  // without filter knowledge.
   int filters = 0;
   for (uint32_t id : trace_.node_ids) {
     const DepNode& n = graph_.nodes()[id];
@@ -303,22 +288,26 @@ void TraceVerifier::Validate() {
               static_cast<int>(id));
           break;
         }
+        ScalarOp combine = ScalarOp::kCast;  // sentinel: overwrite
         if (n.expr->args.size() == 4) {
+          // The conflict function must normalize to one add/min/max of
+          // (old, new) — the interpreter's own restriction.
           auto prog = ir::Normalize(*n.expr->args[3],
                                     {program_.FindData(dest.var)->type,
                                      n.expr->args[2]->type});
-          const bool ok =
-              prog.ok() && prog.ValueOrDie().instrs.size() == 1 &&
-              prog.ValueOrDie().result_is_input < 0 &&
-              (prog.ValueOrDie().instrs[0].op == ScalarOp::kAdd ||
-               prog.ValueOrDie().instrs[0].op == ScalarOp::kMin ||
-               prog.ValueOrDie().instrs[0].op == ScalarOp::kMax) &&
-              prog.ValueOrDie().instrs[0].num_args == 2 &&
-              prog.ValueOrDie().instrs[0].args[0].kind == ArgKind::kInput &&
-              prog.ValueOrDie().instrs[0].args[0].index == 0 &&
-              prog.ValueOrDie().instrs[0].args[1].kind == ArgKind::kInput &&
-              prog.ValueOrDie().instrs[0].args[1].index == 1;
-          if (!ok) {
+          const ir::PrimInstr* op =
+              prog.ok() && prog.value().instrs.size() == 1 &&
+                      prog.value().result_is_input < 0
+                  ? &prog.value().instrs[0]
+                  : nullptr;
+          if (op != nullptr &&
+              (op->op == ScalarOp::kAdd || op->op == ScalarOp::kMin ||
+               op->op == ScalarOp::kMax) &&
+              op->num_args == 2 && op->args[0].kind == ArgKind::kInput &&
+              op->args[0].index == 0 && op->args[1].kind == ArgKind::kInput &&
+              op->args[1].index == 1) {
+            combine = op->op;
+          } else {
             Add("scatter-conflict-fn",
                 "scatter conflict function must be a single add/min/max of "
                 "(old, new)",
@@ -326,17 +315,18 @@ void TraceVerifier::Validate() {
                 static_cast<int>(id));
           }
         }
+        a_.scatter_combine[id] = combine;
         // Index-domain agreement (the scatter index-domain miscompile
         // family): the interpreter iterates the INDEX's selection, the
         // compiled loop iterates the node's restriction — they must match.
         auto restriction = [&](const Expr& a) -> int {
           int prod = -1;
           if (a.kind == ExprKind::kVarRef) {
-            if (active_sel_inputs_.contains(a.var)) return 1;
+            if (a_.sel_inputs.contains(a.var)) return 1;
             prod = graph_.ProducerOf(a.var);
           } else if (a.kind == ExprKind::kSkeleton) {
-            auto it = expr_to_node_.find(&a);
-            if (it != expr_to_node_.end()) {
+            auto it = a_.expr_to_node.find(&a);
+            if (it != a_.expr_to_node.end()) {
               prod = static_cast<int>(it->second);
             }
           }
@@ -360,7 +350,7 @@ void TraceVerifier::Validate() {
       }
       case SkeletonKind::kFilter:
         ++filters;
-        filter_node_ = static_cast<int>(id);
+        a_.filter_node = static_cast<int>(id);
         for (uint32_t c : n.consumers) {
           if (!InTrace(c)) {
             Add("filter-sel-escape", "filter output escapes the trace",
@@ -370,7 +360,7 @@ void TraceVerifier::Validate() {
             break;
           }
         }
-        if (sel_mode_ && !SelDependent(id)) {
+        if (a_.sel_mode() && !SelDependent(id)) {
           Add("filter-positional-in-sel-trace",
               "filter over a positional input cannot join a "
               "selection-carrying trace",
@@ -383,7 +373,7 @@ void TraceVerifier::Validate() {
         const bool from_filter =
             n.inputs.size() == 1 && InTrace(n.inputs[0]) &&
             graph_.nodes()[n.inputs[0]].kind == SkeletonKind::kFilter;
-        if (!from_filter && !(sel_mode_ && SelDependent(id))) {
+        if (!from_filter && !(a_.sel_mode() && SelDependent(id))) {
           Add("condense-no-source",
               "condense without its filter (or a selection-carrying "
               "input) in the same trace",
@@ -413,7 +403,7 @@ void TraceVerifier::Validate() {
         "the fused loop carries a single guard; split the trace at the "
         "second filter");
   }
-  if (sel_mode_ && filter_node_ >= 0) {
+  if (a_.sel_mode() && a_.filter_node >= 0) {
     // The sel-republish-bypass miscompile family: with an in-trace filter,
     // condensed stores share the guard — a selection-carrying write or
     // condense that bypasses the filter would store only guard survivors
@@ -458,7 +448,7 @@ void TraceVerifier::CheckInputsOutputs() {
   // Chunk-variable inputs must be let-bound (known element type).
   for (const auto& name : trace_.inputs) {
     if (program_.FindData(name) != nullptr) continue;
-    if (!let_types_.contains(name)) {
+    if (!a_.let_types.contains(name)) {
       Add("input-unknown",
           StrFormat("unknown trace input '%s' (not a data array, not "
                     "let-bound)",
@@ -491,8 +481,8 @@ void TraceVerifier::CheckValueArg(const DepNode& node, const Expr& arg) {
     case ExprKind::kConst:
       return;
     case ExprKind::kSkeleton: {
-      auto it = expr_to_node_.find(&arg);
-      if (it == expr_to_node_.end() || !InTrace(it->second)) {
+      auto it = a_.expr_to_node.find(&arg);
+      if (it == a_.expr_to_node.end() || !InTrace(it->second)) {
         Add("nested-skeleton-outside",
             "nested skeleton argument resolves outside the trace",
             "cover the producing node or bind it through a let",
@@ -529,7 +519,6 @@ void TraceVerifier::CheckValueArgs() {
     const Expr& e = *n.expr;
     auto normalize = [&](const Expr& lambda, std::vector<TypeId> in_types,
                          const char* what) {
-      if (lambda.kind != ExprKind::kLambda) return;
       auto r = ir::Normalize(lambda, in_types);
       if (!r.ok()) {
         Add("prim-normalize",
@@ -591,10 +580,33 @@ void TraceVerifier::CheckValueArgs() {
 
 }  // namespace
 
+bool TraceAnalysis::DependsOnFilter(const DepGraph& graph,
+                                    uint32_t node_id) const {
+  if (filter_node < 0) return false;
+  const uint32_t filter = static_cast<uint32_t>(filter_node);
+  if (node_id == filter) return false;
+  // DFS towards inputs, through in-trace nodes only.
+  std::vector<uint32_t> stack{node_id};
+  std::set<uint32_t> seen;
+  while (!stack.empty()) {
+    uint32_t id = stack.back();
+    stack.pop_back();
+    for (uint32_t in : graph.nodes()[id].inputs) {
+      if (in == filter) return true;
+      if (seen.insert(in).second && InTrace(in)) stack.push_back(in);
+    }
+  }
+  return false;
+}
+
 VerifyResult VerifyTrace(const dsl::Program& program, const DepGraph& graph,
-                         const Trace& trace, const TraceContext& ctx) {
+                         const Trace& trace, const TraceContext& ctx,
+                         TraceAnalysis* analysis) {
   VerifyResult result;
-  TraceVerifier(program, graph, trace, ctx, &result).Run();
+  TraceAnalysis local;
+  TraceVerifier(program, graph, trace, ctx, &result,
+                analysis != nullptr ? analysis : &local)
+      .Run();
   return result;
 }
 

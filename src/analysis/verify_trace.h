@@ -6,25 +6,24 @@
 // single-filter/condense selection discipline, scatter index-domain and
 // conflict-function restrictions, affine read/write positions, gather and
 // scatter base shapes, and value-argument resolvability. Each predicate
-// carries a stable rule id; the catalog maps every id to the codegen
-// decline message it mirrors.
+// carries a stable rule id.
 //
-// The enforced contract: jit::GenerateTrace declines a trace IFF
-// VerifyTrace reports at least one diagnostic for it (codegen stops at its
-// first error; the verifier collects all). AdaptiveVm::InstallTrace checks
-// both sides on every compile and counts any disagreement in
-// VmReport::verifier_disagreements — the differential harness asserts that
-// counter stays zero across all 200 seeded plans.
+// VerifyTrace is the only place that decides whether a trace compiles:
+// jit::GenerateTrace runs it first, declines a dirty trace with its
+// diagnostics (VerifyResult::ToStatus), and emits a clean one from the
+// TraceAnalysis the verifier filled in. Codegen refuses nothing the
+// verifier accepts; an emission gap is a Status::Internal failure.
 #pragma once
 
-#include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "analysis/diagnostic.h"
 #include "dsl/ast.h"
 #include "ir/depgraph.h"
-#include "storage/compression.h"
 
 namespace avm::analysis {
 
@@ -33,16 +32,46 @@ namespace avm::analysis {
 /// only change input kinds, never declines; selection-carrying inputs
 /// change the variant rules).
 struct TraceContext {
-  /// Data arrays specialized for a compression scheme.
-  std::map<std::string, Scheme> schemes;
   /// Chunk-variable inputs observed to carry a selection vector.
   std::set<std::string> sel_inputs;
 };
 
+/// Facts about one trace that the verifier's rules and the code generator's
+/// emission both need. VerifyTrace computes them once; for a clean trace
+/// they describe exactly what jit::GenerateTrace emits.
+struct TraceAnalysis {
+  /// The trace's node ids, as a set.
+  std::unordered_set<uint32_t> nodes;
+  /// Every graph node's expression -> node id.
+  std::unordered_map<const dsl::Expr*, uint32_t> expr_to_node;
+  /// Element type of every let-bound name in the program.
+  std::unordered_map<std::string, TypeId> let_types;
+  /// Chunk-variable trace inputs that carry a selection under the context
+  /// (non-empty = the selection-carrying variant).
+  std::set<std::string> sel_inputs;
+  /// Nodes that depend, through in-trace edges, on a selection input.
+  std::unordered_set<uint32_t> sel_dependent;
+  /// The in-trace filter node, -1 when there is none.
+  int filter_node = -1;
+  /// Scatter node -> conflict op (kAdd/kMin/kMax; kCast = overwrite).
+  std::unordered_map<uint32_t, dsl::ScalarOp> scatter_combine;
+  /// Loop-body statement ids the trace covers, and the first of them.
+  std::vector<uint32_t> covered_stmt_ids;
+  uint32_t anchor_stmt_id = 0;
+
+  bool InTrace(uint32_t id) const { return nodes.contains(id); }
+  bool SelDependent(uint32_t id) const { return sel_dependent.contains(id); }
+  bool sel_mode() const { return !sel_inputs.empty(); }
+  /// True when `id` consumes the filter through in-trace edges.
+  bool DependsOnFilter(const ir::DepGraph& graph, uint32_t id) const;
+};
+
 /// Verify that `trace` (a region of `graph`, built from `program`) is
-/// compilable under `ctx`. Clean result == GenerateTrace accepts.
+/// compilable under `ctx`. Clean result == GenerateTrace accepts. When
+/// `analysis` is non-null it receives the trace facts.
 VerifyResult VerifyTrace(const dsl::Program& program,
                          const ir::DepGraph& graph, const ir::Trace& trace,
-                         const TraceContext& ctx = {});
+                         const TraceContext& ctx = {},
+                         TraceAnalysis* analysis = nullptr);
 
 }  // namespace avm::analysis

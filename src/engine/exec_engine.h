@@ -148,21 +148,19 @@ struct ExecReport {
   /// unsupported shapes the ABI spec enumerates (merge/gen skeletons,
   /// expand fan-outs with data-dependent output lengths, chunk-array
   /// gather bases, multi-filter traces, exotic scatter conflict
-  /// functions, non-affine positions). The query still completes
-  /// — uncompiled fragments run vectorized-interpreted — but the decline
-  /// is reported instead of silently looking like "nothing was hot".
+  /// functions, non-affine positions); such a decline reads
+  /// "[rule-id] message ..." after the verifier rule that fired. The query
+  /// still completes — uncompiled fragments run vectorized-interpreted —
+  /// but the decline is reported instead of silently looking like
+  /// "nothing was hot".
   std::string jit_declined;
 
   /// Static-verifier activity, summed across workers (docs/VERIFIER.md):
-  /// candidate traces analysis::VerifyTrace checked ahead of codegen,
-  /// traces it rejected, and decline-contract disagreements (codegen
-  /// accepted a verifier-dirty trace or declined a clean one) — the
-  /// differential harness asserts the disagreement counter stays zero.
-  /// verifier_diagnostic is the first diagnostic observed (program- or
-  /// trace-level), empty when everything verified clean.
+  /// candidate traces analysis::VerifyTrace checked and traces it rejected
+  /// (each a decline). verifier_diagnostic is the first trace diagnostic
+  /// observed, empty when everything verified clean.
   uint64_t verifier_checked = 0;
   uint64_t verifier_rejects = 0;
-  uint64_t verifier_disagreements = 0;
   std::string verifier_diagnostic;
 
   /// Fig. 1 state-machine timeline and profiler dump of the worker that

@@ -518,7 +518,6 @@ void MergeVmReport(const vm::VmReport& in, ExecReport* out) {
   out->tier_upgrades += in.tier_upgrades;
   out->verifier_checked += in.verifier_checked;
   out->verifier_rejects += in.verifier_rejects;
-  out->verifier_disagreements += in.verifier_disagreements;
   if (out->verifier_diagnostic.empty()) {
     out->verifier_diagnostic = in.verifier_diagnostic;
   }

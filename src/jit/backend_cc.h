@@ -23,6 +23,10 @@ namespace avm::jit {
 /// safe to call from detached tier-upgrade threads during shutdown.
 const std::string& HostCompilerPath();
 
+/// Whether a host C++ compiler was found — without one the JIT is off and
+/// the VM interprets.
+bool HostCompilerAvailable();
+
 /// Identity line of the host compiler (`<path> --version`, first line).
 /// Folded into every backend's version_hash so artifacts produced by a
 /// different compiler (or version) never load from the disk cache.

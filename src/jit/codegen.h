@@ -38,7 +38,8 @@ struct PosRef {
     if (kind == Kind::kConst) return std::to_string(const_i);
     return kind == Kind::kVar ? var : "<none>";
   }
-  /// From a restricted position expression (variable or constant).
+  /// From a restricted position expression (variable or constant);
+  /// Internal for any other shape (rule pos-not-affine declines those).
   static Result<PosRef> From(const dsl::Expr& e);
 };
 
@@ -118,12 +119,14 @@ struct CodegenOptions {
   bool emit_debug_comments = true;
 };
 
-/// Validate that `trace` is compilable (statement-aligned, ≤ 1 filter,
-/// condense over an in-trace filter or a selection-carrying value, no
-/// merge/gen) and generate its source. Gathers and scatters compile with
-/// generated bounds checks reporting through TraceFault; let-bound write
-/// counts publish through the scalar-state slots. The program must be
-/// type-checked.
+/// Generate the source of `trace`. analysis::VerifyTrace decides whether
+/// the trace compiles: a trace it rejects declines with NotImplemented
+/// whose message leads with the first diagnostic's "[rule-id]"; a verified
+/// trace always emits, and Internal marks an emission gap (a shape the
+/// verifier accepted but emission cannot express). Gathers and scatters
+/// compile with generated bounds checks reporting through TraceFault;
+/// let-bound write counts publish through the scalar-state slots. The
+/// program must be type-checked.
 Result<GeneratedTrace> GenerateTrace(const dsl::Program& program,
                                      const ir::DepGraph& graph,
                                      const ir::Trace& trace,

@@ -91,6 +91,8 @@ const std::string& HostCompilerPath() {
   return *compiler;
 }
 
+bool HostCompilerAvailable() { return !HostCompilerPath().empty(); }
+
 const std::string& HostCompilerIdentity() {
   static const std::string* identity = [] {
     const std::string& cc = HostCompilerPath();
@@ -180,7 +182,7 @@ size_t CcBackend::memo_bytes() {
   return memo_bytes_;
 }
 
-bool CcBackend::Available() const { return !HostCompilerPath().empty(); }
+bool CcBackend::Available() const { return HostCompilerAvailable(); }
 
 Result<JitArtifact> CcBackend::Compile(const std::string& source,
                                        const std::string& symbol,

@@ -15,8 +15,8 @@
 //    dlsym), process-global so compiled traces stay mapped for the process
 //    lifetime wherever their bytes came from (a fresh compile or the
 //    persistent disk cache).
-//  - JitStats: the merged observability counters of the whole JIT stack
-//    (per-tier compiles and latency, disk-cache traffic, tier upgrades).
+//  - TierPolicy: which tiers a query's traces may use; the tiered compile
+//    and upgrade path itself lives in trace_compiler.h.
 //
 // Artifact bytes are the currency between the pieces: because a backend
 // returns relocatable bytes instead of a live function pointer, the bytes
@@ -58,7 +58,7 @@ enum class TierPolicy : uint8_t {
   /// the variable is unset or unrecognized.
   kDefault = 0,
   /// Compile kFast first so the first execution pays minimal JIT latency;
-  /// asynchronously upgrade hot traces to kOptimized (tiered_jit.h).
+  /// asynchronously upgrade hot traces to kOptimized (trace_compiler.h).
   kTiered,
   /// Only the fast tier, never upgraded (latency benchmarks, tests).
   kFastOnly,
@@ -114,34 +114,6 @@ class JitBackend {
 
 /// The process-wide backend instance for a tier.
 JitBackend& BackendForTier(JitTier tier);
-
-/// Merged observability counters of the JIT stack. SourceJit fills the
-/// first block; TieredJit::stats() additionally reports the per-tier,
-/// disk-cache, and tier-upgrade blocks (bench_util serializes them into
-/// BENCH_results.json rows).
-struct JitStats {
-  uint64_t compilations = 0;         ///< backend invocations (all tiers)
-  uint64_t cache_hits = 0;           ///< in-memory memo hits
-  double total_compile_seconds = 0;  ///< summed backend wall time
-
-  // Per-tier compile counts and latency (TieredJit).
-  uint64_t fast_compilations = 0;
-  uint64_t opt_compilations = 0;
-  double fast_compile_seconds = 0;
-  double opt_compile_seconds = 0;
-
-  // Persistent disk-cache traffic (TieredJit + DiskTraceCache).
-  uint64_t disk_hits = 0;
-  uint64_t disk_misses = 0;
-  uint64_t disk_corrupt_dropped = 0;  ///< checksum/load failures, recompiled
-  uint64_t disk_stores = 0;
-  uint64_t disk_evictions = 0;
-
-  // Hotness-triggered tier upgrades (fast -> optimized).
-  uint64_t upgrades_requested = 0;
-  uint64_t upgrades_completed = 0;
-  uint64_t upgrades_failed = 0;
-};
 
 /// Loads artifact bytes into the process and resolves the entry symbol.
 /// Thread-safe; memoizes by (bytes hash, symbol) so one artifact loaded

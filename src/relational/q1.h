@@ -56,8 +56,9 @@ Result<Q1Result> RunQ1Vectorized(const Table& lineitem,
 Result<Q1Result> RunQ1VectorizedCompact(
     const Table& lineitem, uint32_t chunk_size = kDefaultChunkSize);
 
-/// HyPer-style whole-query tuple-at-a-time compilation through the source
-/// JIT. Fails with CompilationError when no host compiler exists.
+/// HyPer-style whole-query tuple-at-a-time compilation through the
+/// optimized JIT backend. Fails with CompilationError when no host
+/// compiler exists.
 Result<Q1Result> RunQ1CompiledWholeQuery(const Table& lineitem);
 
 struct Q1DslRun {

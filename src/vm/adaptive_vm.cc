@@ -4,9 +4,8 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "analysis/verify_program.h"
 #include "analysis/verify_trace.h"
-#include "jit/source_jit.h"
+#include "jit/backend_cc.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -23,25 +22,6 @@ uint64_t UpgradeAfterFromEnv() {
     if (v > 0) return static_cast<uint64_t>(v);
   }
   return 32;
-}
-
-bool ResolveVerifyMode(VerifyMode m) {
-  if (m == VerifyMode::kOn) return true;
-  if (m == VerifyMode::kOff) return false;
-  const char* env = std::getenv("AVM_VERIFY");
-  if (env != nullptr && *env != '\0') return *env != '0';
-#ifdef NDEBUG
-  return false;
-#else
-  return true;
-#endif
-}
-
-/// A GetOrCompile failure is a shape DECLINE (the taxonomy the verifier
-/// mirrors) when codegen rejected the trace; host-compiler and loader
-/// failures are environmental and say nothing about the trace's shape.
-bool IsShapeDecline(const Status& st) {
-  return st.IsInvalidArgument() || st.IsNotImplemented();
 }
 
 }  // namespace
@@ -94,7 +74,7 @@ VmReport AdaptiveVm::Report() const {
 
 Status AdaptiveVm::OnIteration(Interpreter& in, uint64_t iteration) {
   if (!options_.enable_jit) return Status::OK();
-  if (!jit::SourceJit::Available()) return Status::OK();
+  if (!jit::HostCompilerAvailable()) return Status::OK();
   if (!optimized_once_ && iteration >= options_.optimize_after_iterations) {
     return OptimizePass(in, iteration);
   }
@@ -160,21 +140,6 @@ Status AdaptiveVm::OptimizePass(Interpreter& in, uint64_t iteration) {
     for (const auto& node : graph_.nodes()) {
       static_cost_.push_back(node.cost);  // per-tuple cost from BaseCost
     }
-    // Level-1 static verification at program load (docs/VERIFIER.md). A
-    // dirty program still runs — interpretation is the semantics of
-    // record and the engine facade enforces hard — but the finding is
-    // surfaced through the report and the debug log.
-    if (ResolveVerifyMode(options_.verify_programs)) {
-      analysis::VerifyResult vr = analysis::VerifyProgram(*program_);
-      if (!vr.clean()) {
-        if (report_.verifier_diagnostic.empty()) {
-          report_.verifier_diagnostic =
-              vr.diagnostics.front().ToString();
-        }
-        AVM_LOG(kWarning) << "program failed static verification:\n"
-                          << vr.ToString();
-      }
-    }
   }
   // Refresh node costs from the profile (hot-path identification). The
   // unit is DETERMINISTIC work: the node's static per-tuple cost weighted
@@ -215,12 +180,16 @@ Status AdaptiveVm::OptimizePass(Interpreter& in, uint64_t iteration) {
     if (st.ok()) {
       ++installed_this_pass;
       any_compiled = true;
+    } else if (st.IsInternal()) {
+      // Codegen could not emit a trace the verifier accepted: a bug, not a
+      // decline — fail the query instead of hiding it behind interpretation.
+      return st;
     } else if (!st.IsNotFound()) {
       // Surface the first decline through the report: consumers asking for
       // kAdaptiveJit should see WHY a hot fragment stayed interpreted
       // instead of inferring it from a zero compile count.
       if (report_.jit_declined.empty()) {
-        report_.jit_declined = st.ToString();
+        report_.jit_declined = st.message();
       }
       AVM_LOG(kDebug) << "trace skipped: " << st.ToString();
     }
@@ -255,14 +224,10 @@ Status AdaptiveVm::InstallTrace(Interpreter& in, const ir::Trace& trace,
     return Status::NotFound("already installed");  // benign skip
   }
 
-  // Level-2 static verification, always-on ahead of codegen: the §6
-  // decline taxonomy as machine-checked predicates. The contract —
-  // codegen declines IFF the verifier rejects — is checked on both exits
-  // below; a cache hit counts as an accept (the cached entry exists
-  // because codegen accepted this situation before, and the verifier is
-  // deterministic).
+  // The verifier decides whether the trace compiles (the §6 decline
+  // taxonomy as machine-checked predicates). A rejected trace declines
+  // here, before the trace cache or codegen see it.
   analysis::TraceContext vctx;
-  vctx.schemes = situation.schemes;
   vctx.sel_inputs = sel_inputs;
   const analysis::VerifyResult vr =
       analysis::VerifyTrace(*program_, graph_, trace, vctx);
@@ -272,6 +237,7 @@ Status AdaptiveVm::InstallTrace(Interpreter& in, const ir::Trace& trace,
     if (report_.verifier_diagnostic.empty()) {
       report_.verifier_diagnostic = vr.diagnostics.front().ToString();
     }
+    return vr.ToStatus();
   }
 
   bool compiled_fresh = false;
@@ -292,21 +258,9 @@ Status AdaptiveVm::InstallTrace(Interpreter& in, const ir::Trace& trace,
         return std::move(outcome.trace);
       },
       &compiled_fresh);
-  if (!got.ok()) {
-    if (IsShapeDecline(got.status()) && vr.clean()) {
-      ++report_.verifier_disagreements;
-      AVM_LOG(kDebug) << "verifier disagreement: codegen declined a "
-                         "verifier-clean trace: "
-                      << got.status().ToString();
-    }
-    return got.status();
-  }
-  if (!vr.clean()) {
-    ++report_.verifier_disagreements;
-    AVM_LOG(kDebug) << "verifier disagreement: codegen accepted a "
-                       "verifier-dirty trace:\n"
-                    << vr.ToString();
-  }
+  // Internal (an emission gap) fails the query; a host-compiler or loader
+  // failure declines and the fragment stays interpreted.
+  AVM_RETURN_NOT_OK(got.status());
   std::shared_ptr<jit::TraceEntry> entry = std::move(got).ValueOrDie();
   if (compiled_fresh) {
     report_.disk_cache_corrupt += outcome.disk_corrupt;

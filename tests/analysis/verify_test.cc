@@ -1,7 +1,8 @@
 // Static-verifier unit tests: one deliberately malformed shape per rule id
-// (docs/VERIFIER.md), plus the agreement contract — a hand-built trace the
-// verifier rejects must also be declined by codegen, and the partitioner's
-// own traces must be verifier-clean and compile.
+// (docs/VERIFIER.md), each also driven through jit::GenerateTrace, whose
+// decline must carry that rule id (the verifier is codegen's only decline
+// authority); and the partitioner's own traces either compile or decline
+// with the verifier's first rule.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -81,25 +82,40 @@ ir::Trace MakeTrace(std::vector<int> ids, std::vector<std::string> inputs,
   return t;
 }
 
-/// The decline-iff-reject contract for one malformed trace: the verifier
-/// must flag `rule`, and codegen must decline the same trace under the
-/// same selection specialization.
+/// GenerateTrace's decline for a verifier-rejected trace: NotImplemented,
+/// led by the first diagnostic's "[rule-id]".
+void ExpectDeclinedLike(const Result<jit::GeneratedTrace>& gen,
+                        const VerifyResult& vr) {
+  ASSERT_FALSE(gen.ok()) << "codegen accepted a trace the verifier rejects:\n"
+                         << vr.ToString();
+  EXPECT_TRUE(gen.status().IsNotImplemented()) << gen.status().ToString();
+  const std::string lead = "[" + vr.diagnostics.front().rule_id + "]";
+  EXPECT_EQ(gen.status().message().rfind(lead, 0), 0u)
+      << "decline does not lead with " << lead << ": "
+      << gen.status().message();
+}
+
+/// One malformed trace: the verifier must flag `rule`, and codegen must
+/// decline the same trace under the same selection specialization with a
+/// message that carries `rule`.
 void ExpectRejectedByRule(const Program& p, const ir::DepGraph& g,
                           const ir::Trace& tr, const char* rule,
-                          const std::set<std::string>& sel = {},
-                          bool check_codegen = true) {
+                          const std::set<std::string>& sel = {}) {
   TraceContext ctx;
   ctx.sel_inputs = sel;
   const VerifyResult vr = VerifyTrace(p, g, tr, ctx);
   ASSERT_FALSE(vr.clean()) << "expected rule " << rule;
   EXPECT_NE(vr.FindRule(rule), nullptr)
       << "expected rule " << rule << ", got:\n" << vr.ToString();
-  if (check_codegen) {
-    jit::CodegenOptions opts;
-    opts.sel_inputs = sel;
-    auto gen = jit::GenerateTrace(p, g, tr, opts);
-    EXPECT_FALSE(gen.ok())
-        << "codegen accepted a trace the verifier rejects (" << rule << ")";
+  jit::CodegenOptions opts;
+  opts.sel_inputs = sel;
+  auto gen = jit::GenerateTrace(p, g, tr, opts);
+  ExpectDeclinedLike(gen, vr);
+  if (!gen.ok()) {
+    EXPECT_NE(gen.status().message().find(std::string("[") + rule + "]"),
+              std::string::npos)
+        << "decline does not carry " << rule << ": "
+        << gen.status().message();
   }
 }
 
@@ -523,8 +539,7 @@ TEST(VerifyTraceTest, InputUnknown) {
   ir::DepGraph g = BuildGraph(&p);
   ir::Trace t = MakeTrace({NodeOf(g, SkeletonKind::kMap)},
                           {"v", "ghost"}, {"y"});
-  ExpectRejectedByRule(p, g, t, "input-unknown",
-                       /*sel=*/{}, /*check_codegen=*/false);
+  ExpectRejectedByRule(p, g, t, "input-unknown");
 }
 
 TEST(VerifyTraceTest, PosNotAffine) {
@@ -564,8 +579,7 @@ TEST(VerifyTraceTest, ArgUnsupported) {
                           /*len_of=*/"v");
   ir::DepGraph g = BuildGraph(&p, /*typecheck=*/false);
   ir::Trace t = MakeTrace({NodeOf(g, SkeletonKind::kMap)}, {}, {"y"});
-  ExpectRejectedByRule(p, g, t, "arg-unsupported",
-                       /*sel=*/{}, /*check_codegen=*/false);
+  ExpectRejectedByRule(p, g, t, "arg-unsupported");
 }
 
 TEST(VerifyTraceTest, FoldInitShape) {
@@ -735,16 +749,15 @@ TEST(VerifyTraceTest, PartitionedTracesAgreeWithCodegen) {
     const std::vector<ir::Trace> traces = ir::GreedyPartition(g, c);
     ASSERT_FALSE(traces.empty());
     for (const ir::Trace& tr : traces) {
-      TraceContext ctx;
-      const VerifyResult vr = VerifyTrace(p, g, tr, ctx);
+      SCOPED_TRACE(testing::Message() << "allow_filter=" << allow_filter);
+      const VerifyResult vr = VerifyTrace(p, g, tr);
       auto gen = jit::GenerateTrace(p, g, tr);
-      EXPECT_EQ(gen.ok(), vr.clean())
-          << "verifier/codegen disagreement (allow_filter="
-          << allow_filter << "): "
-          << (gen.ok() ? std::string("codegen accepted, verifier said:\n") +
-                             vr.ToString()
-                       : std::string("codegen declined: ") +
-                             gen.status().ToString());
+      if (vr.clean()) {
+        // Codegen refuses nothing the verifier accepts.
+        EXPECT_TRUE(gen.ok()) << gen.status().ToString();
+      } else {
+        ExpectDeclinedLike(gen, vr);
+      }
     }
   }
 }

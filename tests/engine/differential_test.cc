@@ -10,9 +10,13 @@
 // hash path and fan-out row windows), and a sparse table whose keys are
 // negative / huge (> 2^24) probed via the probe's own sparse key column.
 //
-// Every failure message leads with the plan seed and the plan description:
+// The 200-seed sweep is four shards of 50 seeds (gtest parameter = shard;
+// CMakeLists.txt registers one ctest entry per shard beside the entry for
+// the pinned seeds). Every failure message leads with the plan seed and the
+// plan description:
 //   AVM_DIFF_SEED=<seed> ./engine_differential_test   reruns just that plan.
-//   AVM_DIFF_PLANS=<n>                                overrides the count.
+//   AVM_DIFF_PLANS=<n>                                runs seeds 1..n.
+// Both overrides run on shard 0; the other shards skip.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -486,13 +490,9 @@ void RunSeed(uint64_t seed, Tables& t, Session& parallel_session, int* built,
     eo.num_workers = 1;
     eo.vm.optimize_after_iterations = 2;
     auto r = ExecEngine::Execute(q.context(), eo);
+    // The verifier is the only decline authority: codegen failing to emit
+    // a trace it accepted is an Internal error that fails the query here.
     ASSERT_TRUE(r.ok()) << repro << info.desc << ": " << r.status().ToString();
-    // Accept ⇔ verifier-clean on every candidate trace this run compiled
-    // or declined (the decline-taxonomy contract, docs/VERIFIER.md).
-    ASSERT_EQ(r.ValueOrDie().verifier_disagreements, 0u)
-        << repro << info.desc
-        << " verifier: " << r.ValueOrDie().verifier_diagnostic
-        << " jit_declined: " << r.ValueOrDie().jit_declined;
     CompareQueries(base, q, info, repro + info.desc + " [jit-serial]");
     if (verbose) std::fprintf(stderr, "  jit-serial ok\n");
   }
@@ -506,9 +506,6 @@ void RunSeed(uint64_t seed, Tables& t, Session& parallel_session, int* built,
     qo.vm.optimize_after_iterations = 2;
     auto r = parallel_session.Submit(q.context(), qo).Wait();
     ASSERT_TRUE(r.ok()) << repro << info.desc << ": " << r.status().ToString();
-    ASSERT_EQ(r.ValueOrDie().verifier_disagreements, 0u)
-        << repro << info.desc
-        << " verifier: " << r.ValueOrDie().verifier_diagnostic;
     CompareQueries(base, q, info, repro + info.desc + " [session-4w]");
   }
 
@@ -561,21 +558,30 @@ void RunSeed(uint64_t seed, Tables& t, Session& parallel_session, int* built,
   }
 }
 
-TEST(DifferentialTest, RandomPlansAgreeAcrossStrategiesAndWorkers) {
-  Tables t;
+constexpr int kSweepShards = 4;
+constexpr int kShardPlans = 50;
 
-  uint64_t first_seed = 1;
-  int plans = 200;
-  if (const char* s = std::getenv("AVM_DIFF_SEED")) {
-    first_seed = std::strtoull(s, nullptr, 10);
+/// One shard of the random sweep: seeds [1 + 50*shard, 50 + 50*shard].
+class DifferentialSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(DifferentialSweep, RandomPlansAgreeAcrossStrategiesAndWorkers) {
+  uint64_t first_seed = 1 + static_cast<uint64_t>(GetParam()) * kShardPlans;
+  int plans = kShardPlans;
+  const char* seed_env = std::getenv("AVM_DIFF_SEED");
+  const char* plans_env = std::getenv("AVM_DIFF_PLANS");
+  if (seed_env != nullptr || plans_env != nullptr) {
+    if (GetParam() != 0) GTEST_SKIP() << "overrides run on shard 0";
+    first_seed = 1;
+  }
+  if (seed_env != nullptr) {
+    first_seed = std::strtoull(seed_env, nullptr, 10);
     plans = 1;
   }
-  if (const char* p = std::getenv("AVM_DIFF_PLANS")) {
-    plans = std::atoi(p);
-  }
+  if (plans_env != nullptr) plans = std::atoi(plans_env);
 
-  // One long-lived 4-worker session serves every parallel run — plans
-  // interleave with each other's trace-cache entries like production
+  Tables t;
+  // One long-lived 4-worker session per shard serves every parallel run —
+  // plans interleave with each other's trace-cache entries like production
   // clients would.
   SessionOptions so;
   so.num_workers = 4;
@@ -590,7 +596,7 @@ TEST(DifferentialTest, RandomPlansAgreeAcrossStrategiesAndWorkers) {
   }
   // The generator is tuned to produce mostly-buildable plans; if that
   // drifts, the differential coverage silently evaporates — fail loudly
-  // instead.
+  // instead. Both guards hold per shard.
   EXPECT_GE(built, plans * 3 / 4)
       << "generator built only " << built << "/" << plans << " plans";
   // Same guard for the out-of-core family: across a full sweep some plans
@@ -600,10 +606,15 @@ TEST(DifferentialTest, RandomPlansAgreeAcrossStrategiesAndWorkers) {
     EXPECT_GT(spilled, 0u) << "no plan in the sweep spilled a single byte";
   }
   std::printf(
-      "differential: %d plans built, %d rejected identically, "
-      "%llu bytes spilled\n",
+      "differential: seeds %llu..%llu: %d plans built, %d rejected "
+      "identically, %llu bytes spilled\n",
+      (unsigned long long)first_seed,
+      (unsigned long long)(first_seed + static_cast<uint64_t>(plans) - 1),
       built, skipped, (unsigned long long)spilled);
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, DifferentialSweep,
+                         ::testing::Range(0, kSweepShards));
 
 // Pinned seeds for the shape families the JIT used to decline (and, before
 // the declines, MIScompile): these plans compose the stale-cursor shape

@@ -7,7 +7,7 @@
 
 #include "dsl/builder.h"
 #include "dsl/typecheck.h"
-#include "jit/source_jit.h"
+#include "jit/backend_cc.h"
 #include "relational/q1.h"
 #include "storage/datagen.h"
 
@@ -163,7 +163,7 @@ TEST(ExecEngineTest, ParallelQ1BitIdenticalToSingleThreaded) {
 }
 
 TEST(ExecEngineTest, ParallelQ1WithSharedJitCache) {
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     GTEST_SKIP() << "no host compiler";
   }
   auto table = SmallLineitem();
@@ -188,7 +188,7 @@ TEST(ExecEngineTest, ParallelQ1WithSharedJitCache) {
 }
 
 TEST(ExecEngineTest, RepeatedRunsReuseEngineTraceCache) {
-  if (!jit::SourceJit::Available()) {
+  if (!jit::HostCompilerAvailable()) {
     GTEST_SKIP() << "no host compiler";
   }
   // A single-map pipeline partitions into exactly one trace regardless of

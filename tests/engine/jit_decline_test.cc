@@ -14,7 +14,7 @@
 
 #include "engine/query_builder.h"
 #include "engine/session.h"
-#include "jit/source_jit.h"
+#include "jit/backend_cc.h"
 #include "util/rng.h"
 
 namespace avm::engine {
@@ -85,7 +85,7 @@ Query RunJitNoDecline(MakeFn make, const char* shape) {
   if (r.ok()) {
     EXPECT_TRUE(r.value().jit_declined.empty())
         << shape << " declined: " << r.value().jit_declined;
-    if (jit::SourceJit::Available()) {
+    if (jit::HostCompilerAvailable()) {
       EXPECT_GT(r.value().traces_compiled + r.value().traces_reused +
                     r.value().disk_cache_hits,
                 0u)
@@ -204,6 +204,43 @@ TEST(JitDeclineRegressionTest, JoinOrderByPipelineCompilesAndMatches) {
   EXPECT_EQ(par.result_column("gain").data, interp.result_column("gain").data);
   EXPECT_EQ(par.result_column("f_key").data,
             interp.result_column("f_key").data);
+}
+
+// The other side of the single decline authority: a shape the verifier
+// turns away, reached through the engine. With filters allowed into
+// traces, two stacked filters land in one trace and rule filter-multiple
+// declines it; the decline names the rule, the verifier counters see the
+// reject, and the query still matches interpretation.
+TEST(JitDeclineRegressionTest, TwoFilterTraceDeclinesWithRuleId) {
+  Tables t;
+  auto make = [&] {
+    QueryBuilder qb(*t.probe);
+    qb.Filter(Var("f_a") < ConstI(700))
+        .Filter(Var("f_b") < ConstI(800))
+        .Output("f_key")
+        .Output("f_b")
+        .OrderBy("f_b", SortDir::kAscending);
+    return qb.Build().ValueOrDie();
+  };
+  Query jit = make();
+  EngineOptions eo = JitSerial();
+  eo.vm.constraints.allow_filter = true;
+  auto r = ExecEngine::Execute(jit.context(), eo);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  if (jit::HostCompilerAvailable()) {
+    EXPECT_EQ(r.value().jit_declined.rfind("[filter-multiple]", 0), 0u)
+        << "jit_declined: " << r.value().jit_declined;
+    EXPECT_GT(r.value().verifier_rejects, 0u);
+    EXPECT_EQ(r.value().verifier_diagnostic.rfind("[filter-multiple]", 0),
+              0u)
+        << "verifier_diagnostic: " << r.value().verifier_diagnostic;
+  }
+
+  Query interp = make();
+  ASSERT_TRUE(ExecEngine::Execute(interp.context(), InterpSerial()).ok());
+  ASSERT_EQ(jit.num_result_rows(), interp.num_result_rows());
+  EXPECT_EQ(jit.result_column("f_key").data, interp.result_column("f_key").data);
+  EXPECT_EQ(jit.result_column("f_b").data, interp.result_column("f_b").data);
 }
 
 }  // namespace

@@ -211,7 +211,7 @@ TEST(CodegenTest, SelSpecializedVariantEmitsSelectedPass) {
 
 TEST(CodegenTest, SymbolsAreContentDeterministic) {
   // Identical traces generate identical symbols (and identical source), so
-  // the source-JIT cache deduplicates compilation work; a differently
+  // the JIT backend memo deduplicates compilation work; a differently
   // specialized variant gets a different symbol.
   Fixture fx = MakeFig2Fixture(false);
   auto a = GenerateTrace(fx.program, fx.graph, fx.traces[0]);

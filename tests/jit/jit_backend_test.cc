@@ -144,6 +144,25 @@ TEST(JitBackendTest, CompileFailureCarriesCompilerLog) {
       << artifact.status().ToString();
 }
 
+TEST(JitBackendTest, HostCompilerAvailableInBuildEnvironment) {
+  // The build environment compiled this test, so a compiler must exist.
+  EXPECT_TRUE(HostCompilerAvailable());
+  EXPECT_FALSE(HostCompilerPath().empty());
+}
+
+TEST(JitBackendTest, LoaderRejectsMissingSymbol) {
+  JitBackend& backend = CcBackendO0();
+  if (!backend.Available()) GTEST_SKIP() << "no host compiler";
+  auto artifact = backend.Compile(
+      "extern \"C\" void avm_backend_something_else() {}\n",
+      "avm_backend_wrong_name", nullptr);
+  ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+  auto sym = ArtifactLoader::Global().Load(artifact.value(),
+                                           "avm_backend_wrong_name");
+  ASSERT_FALSE(sym.ok());
+  EXPECT_TRUE(sym.status().IsCompilationError()) << sym.status().ToString();
+}
+
 TEST(JitBackendTest, LoaderRejectsEmptyArtifact) {
   JitArtifact empty;
   auto sym = ArtifactLoader::Global().Load(empty, "whatever");

@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "dsl/builder.h"
 #include "util/rng.h"
 #include "dsl/typecheck.h"
 #include "interp/interpreter.h"
+#include "jit/backend_cc.h"
 #include "jit/trace_compiler.h"
 
 namespace avm::jit {
@@ -20,7 +22,7 @@ using interp::Interpreter;
 struct CompiledFixture {
   dsl::Program program;
   ir::DepGraph graph;
-  std::vector<CompiledTrace> compiled;
+  std::vector<std::shared_ptr<TraceEntry>> compiled;
 };
 
 Result<CompiledFixture> Compile(dsl::Program program, bool allow_filter,
@@ -33,15 +35,21 @@ Result<CompiledFixture> Compile(dsl::Program program, bool allow_filter,
   c.allow_filter = allow_filter;
   auto traces = ir::GreedyPartition(fx.graph, c);
   for (const auto& t : traces) {
-    auto compiled =
-        CompileTrace(fx.program, fx.graph, t, SourceJit::Global(), cg);
-    if (compiled.ok()) fx.compiled.push_back(std::move(compiled).value());
+    auto compiled = CompileTraceTiered(fx.program, fx.graph, t, cg,
+                                       TierPolicy::kOptimizedOnly,
+                                       /*disk=*/nullptr, /*situation_key=*/0);
+    if (!compiled.ok()) {
+      if (compiled.status().IsNotImplemented()) continue;  // declined
+      return compiled.status();
+    }
+    fx.compiled.push_back(
+        std::make_shared<TraceEntry>(std::move(compiled).value().trace, 0));
   }
   return fx;
 }
 
 TEST(JitExecTest, Figure2CompiledMatchesInterpreted) {
-  if (!SourceJit::Available()) GTEST_SKIP();
+  if (!HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 8192;
   std::vector<int64_t> data(kN);
   for (int64_t i = 0; i < kN; ++i) data[i] = (i % 7) - 3;
@@ -81,7 +89,7 @@ TEST(JitExecTest, Figure2CompiledMatchesInterpreted) {
 }
 
 TEST(JitExecTest, MapPipelineCompiled) {
-  if (!SourceJit::Available()) GTEST_SKIP();
+  if (!HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 5000;
   auto program = dsl::MakeMapPipeline(
       TypeId::kI64,
@@ -107,7 +115,7 @@ TEST(JitExecTest, MapPipelineCompiled) {
 }
 
 TEST(JitExecTest, HypotPipelineCompiledFloats) {
-  if (!SourceJit::Available()) GTEST_SKIP();
+  if (!HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 3000;
   auto fx = Compile(dsl::MakeHypotPipeline(kN), false);
   ASSERT_TRUE(fx.ok()) << fx.status().ToString();
@@ -135,7 +143,7 @@ TEST(JitExecTest, HypotPipelineCompiledFloats) {
 }
 
 TEST(JitExecTest, FoldTraceSetsScalarBinding) {
-  if (!SourceJit::Available()) GTEST_SKIP();
+  if (!HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 4096;
   auto fx = Compile(dsl::MakeSumPipeline(TypeId::kI64, kN), false);
   ASSERT_TRUE(fx.ok()) << fx.status().ToString();
@@ -166,7 +174,7 @@ TEST(JitExecTest, FoldTraceSetsScalarBinding) {
 }
 
 TEST(JitExecTest, ForSpecializedTraceOnCompressedColumn) {
-  if (!SourceJit::Available()) GTEST_SKIP();
+  if (!HostCompilerAvailable()) GTEST_SKIP();
   const uint32_t kN = 65536;  // exactly one FOR block at default block size
   Column col(TypeId::kI64, kDefaultBlockSize);
   std::vector<int64_t> data(kN);
@@ -202,7 +210,7 @@ TEST(JitExecTest, ForSpecializedTraceOnCompressedColumn) {
 }
 
 TEST(JitExecTest, SchemeMismatchFallsBackToInterpretation) {
-  if (!SourceJit::Available()) GTEST_SKIP();
+  if (!HostCompilerAvailable()) GTEST_SKIP();
   // Column with a PLAIN block: the FOR-specialized trace must not run.
   const uint32_t kN = 4096;
   Column col(TypeId::kI64, kN);
@@ -241,7 +249,7 @@ TEST(JitExecTest, SchemeMismatchFallsBackToInterpretation) {
 }
 
 TEST(JitExecTest, FilterPipelineCompiledWithCondense) {
-  if (!SourceJit::Available()) GTEST_SKIP();
+  if (!HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 6000;
   auto fx = Compile(
       dsl::MakeFilterPipeline(
@@ -377,7 +385,7 @@ Program MakeCondensingCursorPipeline(int64_t limit) {
 }  // namespace abi
 
 TEST(JitExecTest, GatherTraceCompiledMatchesInterpreted) {
-  if (!SourceJit::Available()) GTEST_SKIP();
+  if (!HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 8192, kBase = 512;
   auto fx = Compile(abi::MakeGatherPipeline(kN, kBase, true), false);
   ASSERT_TRUE(fx.ok()) << fx.status().ToString();
@@ -417,7 +425,7 @@ TEST(JitExecTest, GatherTraceCompiledMatchesInterpreted) {
 }
 
 TEST(JitExecTest, GatherFaultRaisesInterpreterIdenticalError) {
-  if (!SourceJit::Available()) GTEST_SKIP();
+  if (!HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 4096, kBase = 128;
   // UNclamped indices: both paths must fail with the SAME OutOfRange.
   auto fx = Compile(abi::MakeGatherPipeline(kN, kBase, false), false);
@@ -453,7 +461,7 @@ TEST(JitExecTest, GatherFaultRaisesInterpreterIdenticalError) {
 }
 
 TEST(JitExecTest, ScatterTraceCompiledMatchesInterpreted) {
-  if (!SourceJit::Available()) GTEST_SKIP();
+  if (!HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 8192, kGroups = 16;
   auto fx = Compile(abi::MakeScatterPipeline(kN, kGroups), false);
   ASSERT_TRUE(fx.ok()) << fx.status().ToString();
@@ -487,7 +495,7 @@ TEST(JitExecTest, ScatterTraceCompiledMatchesInterpreted) {
 }
 
 TEST(JitExecTest, LetBoundWriteCountPublishesCursorAdvance) {
-  if (!SourceJit::Available()) GTEST_SKIP();
+  if (!HostCompilerAvailable()) GTEST_SKIP();
   const int64_t kN = 8192;
   auto fx = Compile(abi::MakeCondensingCursorPipeline(kN),
                     /*allow_filter=*/true);
@@ -528,7 +536,7 @@ TEST(JitExecTest, FilterDependentScatterTraceCompiles) {
   // A scatter consuming the filtered value: the generated code must
   // declare/advance the guard-survivor counter `cnt` even though no
   // condensed buffer output exists (out_counts/scalars report it).
-  if (!SourceJit::Available()) GTEST_SKIP();
+  if (!HostCompilerAvailable()) GTEST_SKIP();
   using namespace dsl;
   const int64_t kN = 8192, kGroups = 8;
   Program p;

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "jit/source_jit.h"
+#include "jit/backend_cc.h"
 
 namespace avm::relational {
 namespace {
@@ -30,7 +30,7 @@ TEST_P(Q1Differential, AllStrategiesAgree) {
   ASSERT_TRUE(compact.ok()) << compact.status().ToString();
   EXPECT_EQ(compact.value(), oracle.value()) << "compact mismatch";
 
-  if (jit::SourceJit::Available()) {
+  if (jit::HostCompilerAvailable()) {
     auto compiled = RunQ1CompiledWholeQuery(*table);
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
     EXPECT_EQ(compiled.value(), oracle.value()) << "whole-query mismatch";
@@ -56,7 +56,7 @@ TEST(Q1AdaptiveVmTest, InterpretedDslMatchesOracle) {
 }
 
 TEST(Q1AdaptiveVmTest, JitCompiledDslMatchesOracle) {
-  if (!jit::SourceJit::Available()) GTEST_SKIP();
+  if (!jit::HostCompilerAvailable()) GTEST_SKIP();
   LineitemSpec spec;
   spec.num_rows = 120'000;
   auto table = MakeLineitem(spec);
