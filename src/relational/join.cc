@@ -1,12 +1,9 @@
 #include "relational/join.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstring>
 
 #include "util/bits.h"
 #include "util/hash.h"
-#include "util/timer.h"
 
 namespace avm::relational {
 
@@ -58,24 +55,6 @@ bool HashSetI64::Contains(int64_t key) const {
     idx = (idx + 1) & mask_;
   }
   return false;
-}
-
-uint32_t HashSetI64::ProbeSel(const int64_t* keys, const sel_t* in_sel,
-                              uint32_t n, sel_t* out_sel) const {
-  uint32_t count = 0;
-  if (in_sel != nullptr) {
-    for (uint32_t j = 0; j < n; ++j) {
-      const uint32_t i = in_sel[j];
-      out_sel[count] = i;
-      count += Contains(keys[i]) ? 1u : 0u;
-    }
-  } else {
-    for (uint32_t i = 0; i < n; ++i) {
-      out_sel[count] = i;
-      count += Contains(keys[i]) ? 1u : 0u;
-    }
-  }
-  return count;
 }
 
 HashJoinI64::HashJoinI64(size_t expected) {
@@ -139,99 +118,6 @@ uint32_t HashJoinI64::Probe(const int64_t* keys, const sel_t* in_sel,
     for (uint32_t i = 0; i < n; ++i) probe_one(i);
   }
   return count;
-}
-
-AdaptiveSemijoinChain::AdaptiveSemijoinChain(
-    std::vector<const HashSetI64*> filters, OrderPolicy policy)
-    : filters_(std::move(filters)), policy_(policy),
-      reorderer_(filters_.size()) {}
-
-uint32_t AdaptiveSemijoinChain::FilterChunk(
-    const std::vector<const int64_t*>& keys, uint32_t n, sel_t* out_sel,
-    sel_t* scratch) {
-  const std::vector<size_t>& order = reorderer_.Order();
-  const sel_t* cur_sel = nullptr;
-  uint32_t cur_n = n;
-  sel_t* bufs[2] = {out_sel, scratch};
-  int flip = 0;
-  for (size_t f : order) {
-    const uint64_t t0 = ReadCycleCounter();
-    const uint32_t out_n =
-        filters_[f]->ProbeSel(keys[f], cur_sel, cur_n, bufs[flip]);
-    const uint64_t dt = ReadCycleCounter() - t0;
-    if (policy_ == OrderPolicy::kAdaptive) {
-      reorderer_.Observe(f, cur_n, out_n, dt);
-    }
-    cur_sel = bufs[flip];
-    cur_n = out_n;
-    flip ^= 1;
-    if (cur_n == 0) break;
-  }
-  // Ensure survivors end up in out_sel.
-  if (cur_sel != out_sel && cur_n > 0) {
-    std::memcpy(out_sel, cur_sel, sizeof(sel_t) * cur_n);
-  }
-  return cur_n;
-}
-
-Result<SemijoinScanResult> RunSemijoinScan(
-    const Table& probe, const std::vector<std::string>& key_columns,
-    const std::vector<const HashSetI64*>& filters,
-    AdaptiveSemijoinChain::OrderPolicy policy, size_t num_workers,
-    ThreadPool* pool) {
-  if (key_columns.size() != filters.size()) {
-    return Status::InvalidArgument(
-        "one key column per semijoin filter required");
-  }
-  std::vector<const Column*> columns(key_columns.size());
-  for (size_t f = 0; f < key_columns.size(); ++f) {
-    AVM_ASSIGN_OR_RETURN(columns[f], probe.ColumnByName(key_columns[f]));
-    if (columns[f]->type() != TypeId::kI64) {
-      return Status::TypeError("semijoin key column must be i64: " +
-                               key_columns[f]);
-    }
-  }
-
-  Stopwatch sw;
-  constexpr uint32_t kChunk = 4096;
-  if (num_workers == 0) num_workers = 1;
-  std::vector<engine::Morsel> morsels = engine::PartitionRows(
-      probe.num_rows(), num_workers, /*morsel_rows=*/0, kChunk);
-
-  std::atomic<uint64_t> survivors{0};
-  auto scan_morsel = [&](const engine::Morsel& m) -> Status {
-    // Each worker's chain is private: its adaptive reorderer tracks the
-    // selectivity it actually observes on its row ranges.
-    AdaptiveSemijoinChain chain(filters, policy);
-    std::vector<std::vector<int64_t>> key_bufs(
-        columns.size(), std::vector<int64_t>(kChunk));
-    std::vector<const int64_t*> key_ptrs(columns.size());
-    for (size_t f = 0; f < columns.size(); ++f) {
-      key_ptrs[f] = key_bufs[f].data();
-    }
-    std::vector<sel_t> out_sel(kChunk), scratch(kChunk);
-    uint64_t local = 0;
-    for (uint64_t pos = m.begin; pos < m.end; pos += kChunk) {
-      const uint32_t n =
-          static_cast<uint32_t>(std::min<uint64_t>(kChunk, m.end - pos));
-      for (size_t f = 0; f < columns.size(); ++f) {
-        AVM_RETURN_NOT_OK(columns[f]->Read(pos, n, key_bufs[f].data()));
-      }
-      local += chain.FilterChunk(key_ptrs, n, out_sel.data(), scratch.data());
-    }
-    survivors.fetch_add(local, std::memory_order_relaxed);
-    return Status::OK();
-  };
-
-  ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::Global();
-  AVM_RETURN_NOT_OK(engine::RunMorsels(tp, num_workers, morsels, scan_morsel));
-
-  SemijoinScanResult result;
-  result.survivors = survivors.load();
-  result.morsels = morsels.size();
-  result.workers = std::min(num_workers, morsels.size());
-  result.wall_seconds = sw.ElapsedSeconds();
-  return result;
 }
 
 Result<engine::Query> MakeSemijoinQuery(

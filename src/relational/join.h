@@ -1,21 +1,16 @@
-// Hash-join substrate and the adaptive semijoin chain (experiment E4).
-//
-// Section III-C: with a chain of selective HashJoins the VM can execute the
-// more selective semijoin first and reorder on the fly when observed
-// selectivities drift.
+// Hash-join substrate and the relational join/semijoin queries built on the
+// engine: HashSetI64 is the semijoin build side, HashJoinI64 the scalar
+// join oracle, and Make*Query/Run*Engine lower both to QueryBuilder plans.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "engine/morsel.h"
 #include "engine/query_builder.h"
 #include "storage/table.h"
 #include "storage/types.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
-#include "vm/reorder.h"
 
 namespace avm::relational {
 
@@ -32,11 +27,6 @@ class HashSetI64 {
   /// All keys currently in the set (unordered). Used to densify a filter
   /// into a membership array for the engine/QueryBuilder semijoin path.
   std::vector<int64_t> Keys() const;
-
-  /// Probe a chunk: out_sel receives qualifying positions. `in_sel`
-  /// optionally restricts the probed positions.
-  uint32_t ProbeSel(const int64_t* keys, const sel_t* in_sel, uint32_t n,
-                    sel_t* out_sel) const;
 
  private:
   void Grow();
@@ -84,65 +74,16 @@ class HashJoinI64 {
   size_t mask_ = 0;
 };
 
-/// A chain of semijoin filters applied to chunks, with on-the-fly adaptive
-/// reordering by observed selectivity/cost.
-class AdaptiveSemijoinChain {
- public:
-  enum class OrderPolicy : uint8_t {
-    kFixed,     ///< keep the given order
-    kAdaptive,  ///< reorder via SelectiveOpReorderer
-  };
-
-  AdaptiveSemijoinChain(std::vector<const HashSetI64*> filters,
-                        OrderPolicy policy);
-
-  /// Apply all filters to a chunk of column values (one key column per
-  /// filter). keys[f] is filter f's probe column. Returns surviving count;
-  /// survivors' positions land in out_sel.
-  uint32_t FilterChunk(const std::vector<const int64_t*>& keys, uint32_t n,
-                       sel_t* out_sel, sel_t* scratch);
-
-  const std::vector<size_t>& CurrentOrder() const {
-    return reorderer_.Order();
-  }
-  uint64_t resorts() const { return reorderer_.resorts(); }
-
- private:
-  std::vector<const HashSetI64*> filters_;
-  OrderPolicy policy_;
-  vm::SelectiveOpReorderer reorderer_;
-};
-
-/// Result of a (possibly parallel) semijoin-chain scan over a probe table.
-struct SemijoinScanResult {
-  uint64_t survivors = 0;
-  size_t morsels = 1;
-  size_t workers = 1;
-  double wall_seconds = 0;
-};
-
-/// Probe `key_columns` of `probe` through the semijoin chain, counting rows
-/// that survive every filter. Runs through the engine layer's morsel
-/// scheduler: with `num_workers > 1` the probe table is cut into row-range
-/// morsels, each worker clones the chain (its adaptive reorderer state is
-/// private, so per-worker selectivity drift is tracked independently) and
-/// survivor counts merge at the barrier. `filters[f]` guards
-/// `key_columns[f]`.
-Result<SemijoinScanResult> RunSemijoinScan(
-    const Table& probe, const std::vector<std::string>& key_columns,
-    const std::vector<const HashSetI64*>& filters,
-    AdaptiveSemijoinChain::OrderPolicy policy, size_t num_workers = 1,
-    ThreadPool* pool = nullptr);
-
-/// The same semijoin count as an engine::QueryBuilder query: each filter is
-/// densified into a shared membership array (`membership[key] != 0`) that
-/// the lowered program gathers from, so the scan runs through the engine's
-/// morsel scheduler and can interleave with other queries on a Session.
-/// Requires non-negative probe keys; each membership array is sized from
-/// its own probe column's largest key (rejected above ~16M to bound
-/// memory). Filter keys beyond that max are dropped — they cannot match
-/// any probe row. Submit `query.context()` and read
-/// `aggregate("survivors")[0]`.
+/// Counts the probe rows that survive every semijoin filter, as an
+/// engine::QueryBuilder query; `filters[f]` guards `key_columns[f]`. Each
+/// filter is densified into a shared membership array
+/// (`membership[key] != 0`) that the lowered program gathers from, so the
+/// scan runs through the engine's morsel scheduler and can interleave with
+/// other queries on a Session. Requires non-negative probe keys; each
+/// membership array is sized from its own probe column's largest key
+/// (rejected above ~16M to bound memory). Filter keys beyond that max are
+/// dropped — they cannot match any probe row. Submit `query.context()` and
+/// read `aggregate("survivors")[0]`.
 Result<engine::Query> MakeSemijoinQuery(
     const Table& probe, const std::vector<std::string>& key_columns,
     const std::vector<const HashSetI64*>& filters);

@@ -10,6 +10,11 @@
 // hash path and fan-out row windows), and a sparse table whose keys are
 // negative / huge (> 2^24) probed via the probe's own sparse key column.
 //
+// Two side-stream families re-run the same plan: out-of-core (under a
+// memory budget, serial and 4-worker) and, for ~1 seed in 4,
+// filters-in-traces (4-worker with the partitioner allowed to merge filters
+// into traces — the path on which the verifier declines traces).
+//
 // The 200-seed sweep is four shards of 50 seeds (gtest parameter = shard;
 // CMakeLists.txt registers one ctest entry per shard beside the entry for
 // the pinned seeds). Every failure message leads with the plan seed and the
@@ -421,13 +426,21 @@ void CompareQueries(Query& base, Query& other, const PlanInfo& info,
 /// exercises.
 constexpr uint64_t kViableBudget = 1024ull * 4 * 8 * 7;
 
+/// What a run of seeds covered, so callers can assert that each family
+/// actually exercised its path.
+struct SeedTally {
+  int built = 0;
+  int skipped = 0;       ///< plans the builder rejected identically
+  uint64_t spilled = 0;  ///< bytes the out-of-core family spilled
+  uint64_t rejects = 0;  ///< verifier rejects, filters-in-traces family
+};
+
 /// Runs one seeded plan under all three configs, plus the out-of-core
-/// family (the same plan under a side-stream-chosen memory budget), and
-/// compares. Increments *built / *skipped accordingly; accumulates spilled
-/// bytes into *spilled. Used by the random sweep and by the pinned
-/// regression seeds.
-void RunSeed(uint64_t seed, Tables& t, Session& parallel_session, int* built,
-             int* skipped, uint64_t* spilled) {
+/// family (the same plan under a side-stream-chosen memory budget) and, for
+/// a side-stream-chosen quarter of seeds, the filters-in-traces family, and
+/// compares. Used by the random sweep and by the pinned regression seeds.
+void RunSeed(uint64_t seed, Tables& t, Session& parallel_session,
+             SeedTally* tally) {
   const std::string repro =
       StrFormat("[plan seed %llu: rerun with AVM_DIFF_SEED=%llu] ",
                 (unsigned long long)seed, (unsigned long long)seed);
@@ -451,10 +464,10 @@ void RunSeed(uint64_t seed, Tables& t, Session& parallel_session, int* built,
     ASSERT_FALSE(q3.ok()) << repro << info.desc;
     ASSERT_EQ(base_q.status().ToString(), q2.status().ToString())
         << repro << info.desc;
-    ++*skipped;
+    ++tally->skipped;
     return;
   }
-  ++*built;
+  ++tally->built;
   Query base = std::move(base_q.value());
 
   // Every generated plan's lowered program must be verifier-clean
@@ -533,7 +546,7 @@ void RunSeed(uint64_t seed, Tables& t, Session& parallel_session, int* built,
       auto r = ExecEngine::Execute(q.context(), eo);
       ASSERT_TRUE(r.ok()) << repro << info.desc << blabel << ": "
                           << r.status().ToString();
-      *spilled += r.ValueOrDie().bytes_spilled;
+      tally->spilled += r.ValueOrDie().bytes_spilled;
       CompareQueries(base, q, info,
                      repro + info.desc + " [spill-serial" + blabel + "]");
       if (verbose) {
@@ -551,9 +564,36 @@ void RunSeed(uint64_t seed, Tables& t, Session& parallel_session, int* built,
       auto r = parallel_session.Submit(q.context(), qo).Wait();
       ASSERT_TRUE(r.ok()) << repro << info.desc << blabel << ": "
                           << r.status().ToString();
-      *spilled += r.ValueOrDie().bytes_spilled;
+      tally->spilled += r.ValueOrDie().bytes_spilled;
       CompareQueries(base, q, info,
                      repro + info.desc + " [spill-session-4w" + blabel + "]");
+    }
+  }
+
+  // Filters-in-traces family: the partitioner may merge filters into
+  // traces (allow_filter), which is what reaches the verifier's filter
+  // rules, so traces get declined at the engine level and their statements
+  // stay interpreted. A side stream picks ~1 seed in 4 so historical and
+  // pinned seeds keep their plans; rows must stay BIT-identical.
+  {
+    Rng frng(seed * 0x9E3779B97F4A7C15ull + 4);
+    if (frng.NextInRange(0, 3) == 0) {
+      PlanInfo i6;
+      Query q = GeneratePlan(seed, t, &i6).ValueOrDie();
+      QueryOptions qo;
+      qo.strategy = ExecutionStrategy::kAdaptiveJit;
+      qo.vm.optimize_after_iterations = 2;
+      qo.vm.constraints.allow_filter = true;
+      auto r = parallel_session.Submit(q.context(), qo).Wait();
+      ASSERT_TRUE(r.ok()) << repro << info.desc << ": "
+                          << r.status().ToString();
+      tally->rejects += r.ValueOrDie().verifier_rejects;
+      CompareQueries(base, q, info,
+                     repro + info.desc + " [filters-in-traces-4w]");
+      if (verbose) {
+        std::fprintf(stderr, "  filters-in-traces ok (%llu rejects)\n",
+                     (unsigned long long)r.ValueOrDie().verifier_rejects);
+      }
     }
   }
 }
@@ -587,30 +627,34 @@ TEST_P(DifferentialSweep, RandomPlansAgreeAcrossStrategiesAndWorkers) {
   so.num_workers = 4;
   Session parallel_session(so);
 
-  int built = 0, skipped = 0;
-  uint64_t spilled = 0;
+  SeedTally tally;
   for (int p = 0; p < plans; ++p) {
     RunSeed(first_seed + static_cast<uint64_t>(p), t, parallel_session,
-            &built, &skipped, &spilled);
+            &tally);
     if (::testing::Test::HasFatalFailure()) return;
   }
   // The generator is tuned to produce mostly-buildable plans; if that
   // drifts, the differential coverage silently evaporates — fail loudly
-  // instead. Both guards hold per shard.
-  EXPECT_GE(built, plans * 3 / 4)
-      << "generator built only " << built << "/" << plans << " plans";
-  // Same guard for the out-of-core family: across a full sweep some plans
-  // must actually have taken the spill path, or the budget knob has
-  // silently stopped biting.
+  // instead. Every guard below holds per shard.
+  EXPECT_GE(tally.built, plans * 3 / 4)
+      << "generator built only " << tally.built << "/" << plans << " plans";
+  // Same guards for the out-of-core and filters-in-traces families: across
+  // a full shard some plans must actually have taken the spill path and
+  // some traces the verifier's decline path, or the knob has silently
+  // stopped biting.
   if (plans >= 50) {
-    EXPECT_GT(spilled, 0u) << "no plan in the sweep spilled a single byte";
+    EXPECT_GT(tally.spilled, 0u)
+        << "no plan in the sweep spilled a single byte";
+    EXPECT_GT(tally.rejects, 0u)
+        << "no filters-in-traces run reached a verifier reject";
   }
   std::printf(
       "differential: seeds %llu..%llu: %d plans built, %d rejected "
-      "identically, %llu bytes spilled\n",
+      "identically, %llu bytes spilled, %llu verifier rejects\n",
       (unsigned long long)first_seed,
       (unsigned long long)(first_seed + static_cast<uint64_t>(plans) - 1),
-      built, skipped, (unsigned long long)spilled);
+      tally.built, tally.skipped, (unsigned long long)tally.spilled,
+      (unsigned long long)tally.rejects);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, DifferentialSweep,
@@ -642,15 +686,14 @@ TEST(DifferentialTest, PinnedSeedsForPreviouslyDeclinedShapes) {
   // 24: Project JoinDup SemiJoin Filter Output OrderBy (duplicate
   //     fan-out feeding a post-join selection and an ordered, condensing
   //     row materialization — the many-to-many pair-domain shape)
-  int built = 0, skipped = 0;
-  uint64_t spilled = 0;
+  SeedTally tally;
   for (uint64_t seed : {6ull, 9ull, 12ull, 20ull, 24ull}) {
-    RunSeed(seed, t, parallel_session, &built, &skipped, &spilled);
+    RunSeed(seed, t, parallel_session, &tally);
     if (::testing::Test::HasFatalFailure()) return;
   }
   // All five seeds must BUILD — a generator change that invalidates one
   // must re-pin an equivalent plan, not silently skip the family.
-  EXPECT_EQ(built, 5) << "pinned differential seeds no longer build";
+  EXPECT_EQ(tally.built, 5) << "pinned differential seeds no longer build";
 }
 
 // Pinned out-of-core seed: a duplicate-fan-out (many-to-many) join feeding

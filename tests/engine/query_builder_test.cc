@@ -135,7 +135,7 @@ TEST(QueryBuilderTest, Q1ViaBuilderMatchesScalarOracle) {
   EXPECT_EQ(relational::Q1ResultFromQuery(q), oracle);
 }
 
-TEST(QueryBuilderTest, SemiJoinMatchesHashChainScan) {
+TEST(QueryBuilderTest, SemiJoinMatchesHashSetOracle) {
   const uint64_t n = 120'000;
   Schema schema({{"k0", TypeId::kI64}, {"k1", TypeId::kI64}});
   Table probe(schema);
@@ -153,22 +153,22 @@ TEST(QueryBuilderTest, SemiJoinMatchesHashChainScan) {
   for (int i = 0; i < 1500; ++i) f0.Insert(rng.NextInRange(0, 3000));
   for (int i = 0; i < 200; ++i) f1.Insert(rng.NextInRange(0, 3000));
 
-  auto hash_scan = relational::RunSemijoinScan(
-      probe, {"k0", "k1"}, {&f0, &f1},
-      relational::AdaptiveSemijoinChain::OrderPolicy::kFixed);
-  ASSERT_TRUE(hash_scan.ok());
+  uint64_t expected = 0;
+  for (uint64_t i = 0; i < n; ++i) {
+    if (f0.Contains(k0[i]) && f1.Contains(k1[i])) ++expected;
+  }
 
   auto serial =
       relational::RunSemijoinEngine(probe, {"k0", "k1"}, {&f0, &f1},
                                     Interp(1));
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  EXPECT_EQ(serial.value().survivors, hash_scan.value().survivors);
+  EXPECT_EQ(serial.value().survivors, expected);
 
   auto parallel =
       relational::RunSemijoinEngine(probe, {"k0", "k1"}, {&f0, &f1},
                                     Interp(4));
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  EXPECT_EQ(parallel.value().survivors, hash_scan.value().survivors);
+  EXPECT_EQ(parallel.value().survivors, expected);
   // Gathers read the shared membership arrays, scatters hit accumulators:
   // the query must actually run morsel-parallel, not fall back to serial.
   EXPECT_GT(parallel.value().report.morsels, 1u);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -27,7 +29,6 @@ using relational::MakeSemijoinQuery;
 using relational::Q1Result;
 using relational::Q1ResultFromQuery;
 using relational::RunQ1Scalar;
-using relational::RunSemijoinScan;
 
 std::unique_ptr<Table> SmallLineitem(uint64_t rows = 120'000) {
   LineitemSpec spec;
@@ -636,6 +637,118 @@ TEST(SessionTest, ShapesSharingALabelPrefixGetTheirOwnTraces) {
     for (uint64_t i = 0; i < kRows; ++i) expect += a[i] * 3 + b[i] * 5 + k;
     EXPECT_EQ(q.aggregate("s")[0], expect) << "k=" << k;
   }
+}
+
+// A row-parameterized `out[i] = 3 * src[i] + 1` map over `n` rows: the
+// smallest morsel-parallel context, for tests that drive ExecContext hooks
+// directly.
+struct MapFixture {
+  std::vector<int64_t> src, out;
+  ExecContext ctx;
+
+  explicit MapFixture(uint64_t n)
+      : src(n), out(n),
+        ctx([](int64_t rows) -> Result<dsl::Program> {
+              return dsl::MakeMapPipeline(
+                  TypeId::kI64,
+                  dsl::Lambda({"x"}, dsl::Var("x") * dsl::ConstI(3) +
+                                         dsl::ConstI(1)),
+                  rows);
+            },
+            n) {
+    Rng rng(17);
+    for (auto& v : src) v = rng.NextInRange(-1000, 1000);
+    ctx.BindInput("src",
+                  interp::DataBinding::Raw(TypeId::kI64, src.data(), n));
+    ctx.BindOutput("out", interp::DataBinding::Raw(TypeId::kI64, out.data(),
+                                                   n, true));
+  }
+
+  bool OutputCorrect() const {
+    for (size_t i = 0; i < src.size(); ++i) {
+      if (out[i] != src[i] * 3 + 1) return false;
+    }
+    return true;
+  }
+};
+
+// The Session scheduler hands every morsel to exactly one task: the task
+// hook sees each [begin, end) once, and the ranges tile [0, rows).
+TEST(SessionTest, TaskHookSeesEveryMorselOnceAndRangesTileTheInput) {
+  constexpr uint64_t kRows = 100'000;
+  constexpr uint64_t kMorselRows = 4096;
+  MapFixture f(kRows);
+  std::vector<Morsel> seen;  // task hooks run under the query's merge mutex
+  f.ctx.set_task_hook([&](const interp::Interpreter&, const Morsel& m) {
+    seen.push_back(m);
+    return Status::OK();
+  });
+
+  SessionOptions so;
+  so.num_workers = 4;
+  Session session(so);
+  QueryOptions qo;
+  qo.strategy = ExecutionStrategy::kInterpret;
+  qo.morsel_rows = kMorselRows;
+  auto r = session.Submit(f.ctx, qo).Wait();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+
+  const uint64_t expect_morsels = (kRows + kMorselRows - 1) / kMorselRows;
+  EXPECT_EQ(r.value().morsels, expect_morsels);
+  EXPECT_EQ(r.value().workers, 4u);
+  ASSERT_EQ(seen.size(), expect_morsels);
+  std::sort(seen.begin(), seen.end(), [](const Morsel& a, const Morsel& b) {
+    return a.begin < b.begin;
+  });
+  uint64_t next = 0;
+  for (size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i].index, i);
+    EXPECT_EQ(seen[i].begin, next);
+    EXPECT_GT(seen[i].end, seen[i].begin);
+    next = seen[i].end;
+  }
+  EXPECT_EQ(next, kRows);
+  EXPECT_TRUE(f.OutputCorrect());
+}
+
+// A task hook's error fails the whole query with that status code; the
+// cleanup hook still runs exactly once, and the session keeps serving: the
+// same context re-submitted without the fault completes correctly.
+TEST(SessionTest, TaskHookErrorFailsQueryAndSessionServesTheNext) {
+  constexpr uint64_t kRows = 100'000;
+  MapFixture f(kRows);
+  bool fail = true;
+  f.ctx.set_task_hook([&](const interp::Interpreter&, const Morsel& m) {
+    if (fail && m.index == 3) return Status::OutOfRange("injected fault");
+    return Status::OK();
+  });
+  std::atomic<int> cleanups{0};
+  f.ctx.set_cleanup_hook([&] { cleanups.fetch_add(1); });
+
+  SessionOptions so;
+  so.num_workers = 4;
+  Session session(so);
+  QueryOptions qo;
+  qo.strategy = ExecutionStrategy::kInterpret;
+  qo.morsel_rows = 4096;
+  auto failed = session.Submit(f.ctx, qo).Wait();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kOutOfRange)
+      << failed.status().ToString();
+  EXPECT_NE(failed.status().ToString().find("injected fault"),
+            std::string::npos);
+  EXPECT_EQ(cleanups.load(), 1);
+
+  fail = false;
+  std::fill(f.out.begin(), f.out.end(), 0);
+  auto ok = session.Submit(f.ctx, qo).Wait();
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_GT(ok.value().morsels, 1u);
+  EXPECT_TRUE(f.OutputCorrect());
+  EXPECT_EQ(cleanups.load(), 2);
+  Session::Stats stats = session.stats();
+  EXPECT_EQ(stats.submitted, 2u);
+  EXPECT_EQ(stats.completed, 2u);
 }
 
 }  // namespace

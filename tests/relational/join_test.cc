@@ -34,24 +34,6 @@ TEST(HashSetTest, GrowsUnderLoad) {
   EXPECT_FALSE(set.Contains(999999));
 }
 
-TEST(HashSetTest, ProbeSelProducesSelectionVector) {
-  HashSetI64 set;
-  set.Insert(10);
-  set.Insert(30);
-  int64_t keys[5] = {10, 20, 30, 40, 10};
-  sel_t out[5];
-  uint32_t n = set.ProbeSel(keys, nullptr, 5, out);
-  ASSERT_EQ(n, 3u);
-  EXPECT_EQ(out[0], 0u);
-  EXPECT_EQ(out[1], 2u);
-  EXPECT_EQ(out[2], 4u);
-  // Composed with an input selection.
-  sel_t in_sel[3] = {1, 2, 3};
-  n = set.ProbeSel(keys, in_sel, 3, out);
-  ASSERT_EQ(n, 1u);
-  EXPECT_EQ(out[0], 2u);
-}
-
 TEST(HashJoinTest, ProbeReturnsPayloadRows) {
   HashJoinI64 join;
   join.Insert(100, 7);
@@ -98,110 +80,6 @@ TEST(HashJoinTest, GrowKeepsEntries) {
   uint32_t row[1];
   ASSERT_EQ(join.Probe(&key, nullptr, 1, pos, row), 1u);
   EXPECT_EQ(row[0], 4500u);
-}
-
-TEST(SemijoinChainTest, FixedOrderCorrectness) {
-  HashSetI64 f0, f1;
-  for (int64_t k = 0; k < 100; k += 2) f0.Insert(k);  // evens
-  for (int64_t k = 0; k < 100; k += 3) f1.Insert(k);  // multiples of 3
-  AdaptiveSemijoinChain chain({&f0, &f1},
-                              AdaptiveSemijoinChain::OrderPolicy::kFixed);
-  std::vector<int64_t> keys(100);
-  for (int i = 0; i < 100; ++i) keys[i] = i;
-  std::vector<sel_t> out(100), scratch(100);
-  // Both filters probe the same column here.
-  uint32_t n = chain.FilterChunk({keys.data(), keys.data()}, 100, out.data(),
-                                 scratch.data());
-  // Survivors: multiples of 6.
-  ASSERT_EQ(n, 17u);
-  for (uint32_t j = 0; j < n; ++j) EXPECT_EQ(out[j] % 6, 0u);
-}
-
-TEST(SemijoinChainTest, AdaptiveReordersBySelectivity) {
-  // Filter 0 keeps nearly everything; filter 1 keeps almost nothing.
-  HashSetI64 keep_most, keep_few;
-  for (int64_t k = 0; k < 1000; ++k) {
-    if (k % 100 != 0) keep_most.Insert(k);  // 99%
-    if (k < 10) keep_few.Insert(k);         // 1%
-  }
-  AdaptiveSemijoinChain chain({&keep_most, &keep_few},
-                              AdaptiveSemijoinChain::OrderPolicy::kAdaptive);
-  Rng rng(3);
-  std::vector<int64_t> keys(1024);
-  std::vector<sel_t> out(1024), scratch(1024);
-  for (int chunk = 0; chunk < 64; ++chunk) {
-    for (auto& k : keys) k = rng.NextInRange(0, 999);
-    chain.FilterChunk({keys.data(), keys.data()}, 1024, out.data(),
-                      scratch.data());
-  }
-  // The selective filter must have moved first.
-  EXPECT_EQ(chain.CurrentOrder()[0], 1u);
-  EXPECT_GT(chain.resorts(), 0u);
-}
-
-TEST(SemijoinChainTest, AdaptiveMatchesFixedResults) {
-  HashSetI64 f0, f1;
-  Rng rng(4);
-  for (int i = 0; i < 500; ++i) f0.Insert(rng.NextInRange(0, 2000));
-  for (int i = 0; i < 100; ++i) f1.Insert(rng.NextInRange(0, 2000));
-  std::vector<int64_t> keys(4096);
-  for (auto& k : keys) k = rng.NextInRange(0, 2000);
-
-  AdaptiveSemijoinChain fixed({&f0, &f1},
-                              AdaptiveSemijoinChain::OrderPolicy::kFixed);
-  AdaptiveSemijoinChain adaptive(
-      {&f0, &f1}, AdaptiveSemijoinChain::OrderPolicy::kAdaptive);
-  std::vector<sel_t> out1(4096), out2(4096), scratch(4096);
-  for (int rep = 0; rep < 20; ++rep) {
-    uint32_t n1 = fixed.FilterChunk({keys.data(), keys.data()}, 4096,
-                                    out1.data(), scratch.data());
-    uint32_t n2 = adaptive.FilterChunk({keys.data(), keys.data()}, 4096,
-                                       out2.data(), scratch.data());
-    ASSERT_EQ(n1, n2);
-    std::set<sel_t> s1(out1.begin(), out1.begin() + n1);
-    std::set<sel_t> s2(out2.begin(), out2.begin() + n2);
-    ASSERT_EQ(s1, s2);
-  }
-}
-
-TEST(SemijoinScanTest, ParallelScanMatchesSerial) {
-  // Probe table with two i64 key columns; survivors of the chain must be
-  // identical no matter how many workers scan it.
-  const uint64_t n = 200'000;
-  Schema schema({{"k0", TypeId::kI64}, {"k1", TypeId::kI64}});
-  Table probe(schema);
-  Rng rng(9);
-  std::vector<int64_t> k0(n), k1(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    k0[i] = rng.NextInRange(0, 5000);
-    k1[i] = rng.NextInRange(0, 5000);
-  }
-  ASSERT_TRUE(
-      probe.column(0).AppendValues(k0.data(), static_cast<uint32_t>(n)).ok());
-  ASSERT_TRUE(
-      probe.column(1).AppendValues(k1.data(), static_cast<uint32_t>(n)).ok());
-
-  HashSetI64 f0, f1;
-  for (int i = 0; i < 2500; ++i) f0.Insert(rng.NextInRange(0, 5000));
-  for (int i = 0; i < 400; ++i) f1.Insert(rng.NextInRange(0, 5000));
-
-  auto serial = RunSemijoinScan(probe, {"k0", "k1"}, {&f0, &f1},
-                                AdaptiveSemijoinChain::OrderPolicy::kAdaptive,
-                                /*num_workers=*/1);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  auto parallel = RunSemijoinScan(
-      probe, {"k0", "k1"}, {&f0, &f1},
-      AdaptiveSemijoinChain::OrderPolicy::kAdaptive, /*num_workers=*/4);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  EXPECT_EQ(parallel.value().survivors, serial.value().survivors);
-  EXPECT_GT(parallel.value().morsels, 1u);
-
-  // Cross-check against a scalar count.
-  uint64_t expect = 0;
-  for (uint64_t i = 0; i < n; ++i) {
-    if (f0.Contains(k0[i]) && f1.Contains(k1[i])) ++expect;
-  }
-  EXPECT_EQ(serial.value().survivors, expect);
 }
 
 TEST(JoinQueryTest, MakeJoinQueryMatchesHashJoinOracle) {
@@ -279,18 +157,6 @@ TEST(JoinQueryTest, MakeJoinQueryMatchesHashJoinOracle) {
   for (size_t g = 0; g < 4; ++g) {
     EXPECT_EQ(grouped.aggregate("revenue")[g], expect_g[g]) << "group " << g;
   }
-}
-
-TEST(SemijoinChainTest, EarlyExitOnEmptySelection) {
-  HashSetI64 none, all;
-  for (int64_t k = 0; k < 10; ++k) all.Insert(k);
-  AdaptiveSemijoinChain chain({&none, &all},
-                              AdaptiveSemijoinChain::OrderPolicy::kFixed);
-  std::vector<int64_t> keys{1, 2, 3};
-  std::vector<sel_t> out(3), scratch(3);
-  EXPECT_EQ(chain.FilterChunk({keys.data(), keys.data()}, 3, out.data(),
-                              scratch.data()),
-            0u);
 }
 
 }  // namespace

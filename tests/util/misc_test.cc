@@ -51,18 +51,28 @@ TEST(CpuInfoTest, HostProbeSane) {
   EXPECT_GE(info.MaxFusedStreams(), 4u);
 }
 
+volatile int g_spin_iters = 100000;
+volatile double g_spin_sink = 0;
+
+// Busy work the optimizer cannot drop: the trip count is read through a
+// volatile, and the sum is stored through one.
+void SpinSum() {
+  const int n = g_spin_iters;
+  double acc = 0;
+  for (int i = 0; i < n; ++i) acc += i;
+  g_spin_sink = acc;
+}
+
 TEST(TimerTest, StopwatchAdvances) {
   Stopwatch sw;
-  volatile double x = 0;
-  for (int i = 0; i < 100000; ++i) x += i;
+  SpinSum();
   EXPECT_GT(sw.ElapsedNanos(), 0u);
   EXPECT_GE(sw.ElapsedSeconds(), 0.0);
 }
 
 TEST(TimerTest, CycleCounterMonotonicish) {
   uint64_t a = ReadCycleCounter();
-  volatile double x = 0;
-  for (int i = 0; i < 100000; ++i) x += i;
+  SpinSum();
   uint64_t b = ReadCycleCounter();
   EXPECT_GT(b, a);
 }
