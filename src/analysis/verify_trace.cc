@@ -88,6 +88,9 @@ class TraceVerifier {
 void TraceVerifier::AnalyzeStatements() {
   for (uint32_t id : trace_.node_ids) a_.nodes.insert(id);
   for (const auto& n : graph_.nodes()) a_.expr_to_node[n.expr] = n.id;
+  for (uint32_t id : trace_.node_ids) {
+    if (ir::IsLiveOut(graph_.nodes()[id], a_.nodes)) a_.live_out.insert(id);
+  }
 
   const std::vector<StmtPtr>* body = &program_.stmts;
   for (const auto& s : program_.stmts) {
@@ -351,14 +354,11 @@ void TraceVerifier::Validate() {
       case SkeletonKind::kFilter:
         ++filters;
         a_.filter_node = static_cast<int>(id);
-        for (uint32_t c : n.consumers) {
-          if (!InTrace(c)) {
-            Add("filter-sel-escape", "filter output escapes the trace",
-                "selection vectors do not cross the compiled-code "
-                "boundary; include every consumer in the trace",
-                static_cast<int>(id));
-            break;
-          }
+        if (a_.LiveOut(id)) {
+          Add("filter-sel-escape", "filter output escapes the trace",
+              "selection vectors do not cross the compiled-code "
+              "boundary; include every consumer in the trace",
+              static_cast<int>(id));
         }
         if (a_.sel_mode() && !SelDependent(id)) {
           Add("filter-positional-in-sel-trace",
@@ -421,21 +421,14 @@ void TraceVerifier::Validate() {
       }
     }
   }
-  // Escaping post-filter values must be condense nodes.
+  // Live-out post-filter values must be condense nodes.
   for (uint32_t id : trace_.node_ids) {
     const DepNode& n = graph_.nodes()[id];
     if (n.kind == SkeletonKind::kWrite || n.kind == SkeletonKind::kScatter) {
       continue;
     }
-    bool escapes = false;
-    for (uint32_t c : n.consumers) {
-      if (!InTrace(c)) escapes = true;
-    }
-    std::string name = graph_.OutputNameOf(id);
-    for (const auto& o : trace_.outputs) {
-      if (o == name) escapes = true;
-    }
-    if (escapes && DependsOnFilter(id) && n.kind != SkeletonKind::kCondense) {
+    if (a_.LiveOut(id) && DependsOnFilter(id) &&
+        n.kind != SkeletonKind::kCondense) {
       Add("postfilter-escape-no-condense",
           "post-filter value escapes the trace without condense",
           "condense the survivors before they leave the trace",
@@ -597,6 +590,30 @@ bool TraceAnalysis::DependsOnFilter(const DepGraph& graph,
     }
   }
   return false;
+}
+
+ir::RegionVerdict CheckRegion(const dsl::Program& program,
+                              const DepGraph& graph, const Trace& trace,
+                              const TraceContext& ctx) {
+  // Rules a larger region can satisfy: the missing consumer, statement
+  // part or selection producer may still join.
+  static const std::unordered_set<std::string> kRepairable = {
+      "trace-stmt-alignment", "nested-skeleton-outside",
+      "filter-sel-escape",    "postfilter-escape-no-condense",
+      "condense-no-source",   "scatter-index-domain"};
+  const VerifyResult vr = VerifyTrace(program, graph, trace, ctx);
+  if (vr.clean()) return ir::RegionVerdict::kClean;
+  for (const Diagnostic& d : vr.diagnostics) {
+    if (!kRepairable.contains(d.rule_id)) return ir::RegionVerdict::kRefused;
+    // ...unless the escaping value is read outside the graph: no node
+    // can join to take over that read.
+    if ((d.rule_id == "filter-sel-escape" ||
+         d.rule_id == "postfilter-escape-no-condense") &&
+        graph.nodes()[static_cast<size_t>(d.node_id)].used_outside_graph) {
+      return ir::RegionVerdict::kRefused;
+    }
+  }
+  return ir::RegionVerdict::kOpen;
 }
 
 VerifyResult VerifyTrace(const dsl::Program& program, const DepGraph& graph,

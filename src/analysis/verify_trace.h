@@ -9,10 +9,12 @@
 // carries a stable rule id.
 //
 // VerifyTrace is the only place that decides whether a trace compiles:
-// jit::GenerateTrace runs it first, declines a dirty trace with its
-// diagnostics (VerifyResult::ToStatus), and emits a clean one from the
-// TraceAnalysis the verifier filled in. Codegen refuses nothing the
-// verifier accepts; an emission gap is a Status::Internal failure.
+// the VM verifies each situation the trace cache has not seen, declines a
+// dirty trace with its diagnostics (VerifyResult::ToStatus), and hands the
+// TraceAnalysis of a clean one to jit::GenerateTrace, which emits from it.
+// Codegen refuses nothing the verifier accepts; an emission gap is a
+// Status::Internal failure. The partitioner grows regions under the same
+// predicates (CheckRegion), so the traces it proposes verify clean.
 #pragma once
 
 #include <set>
@@ -51,6 +53,11 @@ struct TraceAnalysis {
   std::set<std::string> sel_inputs;
   /// Nodes that depend, through in-trace edges, on a selection input.
   std::unordered_set<uint32_t> sel_dependent;
+  /// Trace nodes whose value something outside the trace reads
+  /// (ir::IsLiveOut): graph consumers outside the trace, and non-graph uses
+  /// such as `len`, conditions and statements after the loop. The escape
+  /// rules judge exactly these values, and codegen publishes exactly these.
+  std::unordered_set<uint32_t> live_out;
   /// The in-trace filter node, -1 when there is none.
   int filter_node = -1;
   /// Scatter node -> conflict op (kAdd/kMin/kMax; kCast = overwrite).
@@ -60,6 +67,7 @@ struct TraceAnalysis {
   uint32_t anchor_stmt_id = 0;
 
   bool InTrace(uint32_t id) const { return nodes.contains(id); }
+  bool LiveOut(uint32_t id) const { return live_out.contains(id); }
   bool SelDependent(uint32_t id) const { return sel_dependent.contains(id); }
   bool sel_mode() const { return !sel_inputs.empty(); }
   /// True when `id` consumes the filter through in-trace edges.
@@ -67,11 +75,23 @@ struct TraceAnalysis {
 };
 
 /// Verify that `trace` (a region of `graph`, built from `program`) is
-/// compilable under `ctx`. Clean result == GenerateTrace accepts. When
-/// `analysis` is non-null it receives the trace facts.
+/// compilable under `ctx`. When `analysis` is non-null it receives the
+/// trace facts; jit::GenerateTrace emits a clean trace from them.
 VerifyResult VerifyTrace(const dsl::Program& program,
                          const ir::DepGraph& graph, const ir::Trace& trace,
                          const TraceContext& ctx = {},
                          TraceAnalysis* analysis = nullptr);
+
+/// The partitioner's view of VerifyTrace (an ir::RegionCheck): kClean when
+/// the candidate region verifies clean; kOpen when every diagnostic is one
+/// that adding more nodes can repair — a filter or post-filter value whose
+/// consumer node is still outside, a partially covered statement, a
+/// condense or scatter waiting for its filter; kRefused otherwise (a second
+/// filter, a value a non-graph use reads past a filter, an unsupported
+/// node, a stale capture, ...).
+ir::RegionVerdict CheckRegion(const dsl::Program& program,
+                              const ir::DepGraph& graph,
+                              const ir::Trace& trace,
+                              const TraceContext& ctx);
 
 }  // namespace avm::analysis

@@ -156,12 +156,17 @@ struct ExecReport {
   std::string jit_declined;
 
   /// Static-verifier activity, summed across workers (docs/VERIFIER.md):
-  /// candidate traces analysis::VerifyTrace checked and traces it rejected
-  /// (each a decline). verifier_diagnostic is the first trace diagnostic
-  /// observed, empty when everything verified clean.
+  /// trace situations analysis::VerifyTrace checked (trace-cache hits are
+  /// not re-verified) and traces it rejected (each a decline).
+  /// verifier_diagnostic is the first trace diagnostic observed, empty when
+  /// everything verified clean. partition_refusals counts the partition
+  /// growth steps the verifier's predicates turned down (analysis::
+  /// CheckRegion): declines that happen while the partitioner shapes a
+  /// region, before any trace is proposed.
   uint64_t verifier_checked = 0;
   uint64_t verifier_rejects = 0;
   std::string verifier_diagnostic;
+  uint64_t partition_refusals = 0;
 
   /// Fig. 1 state-machine timeline and profiler dump of the worker that
   /// executed the first morsel (representative; per-worker dumps would be

@@ -518,6 +518,7 @@ void MergeVmReport(const vm::VmReport& in, ExecReport* out) {
   out->tier_upgrades += in.tier_upgrades;
   out->verifier_checked += in.verifier_checked;
   out->verifier_rejects += in.verifier_rejects;
+  out->partition_refusals += in.partition_refusals;
   if (out->verifier_diagnostic.empty()) {
     out->verifier_diagnostic = in.verifier_diagnostic;
   }

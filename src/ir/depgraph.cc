@@ -197,10 +197,80 @@ class GraphBuilder {
   uint32_t cur_stmt_index_ = 0;  ///< top-level body statement ordinal
 };
 
+/// Marks DepNode::used_outside_graph: every read of a node's value that is
+/// not a direct value argument of another graph node. `consumed` says
+/// whether the enclosing expression consumes `e`'s value (false for a
+/// statement's own skeleton and for a graph node's nested arguments, which
+/// are graph edges); `bound` holds the enclosing lambda parameters.
+class OutsideUseMarker {
+ public:
+  explicit OutsideUseMarker(DepGraph* graph) : graph_(*graph) {
+    for (const DepNode& n : graph_.nodes()) node_of_[n.expr] = n.id;
+  }
+
+  void Stmt(const dsl::Stmt& s) {
+    if (s.expr != nullptr) {
+      // A let binds its skeleton's value and an expression statement drops
+      // it; assignments, conditions and the rest consume it.
+      const bool consumed =
+          s.kind != StmtKind::kLet && s.kind != StmtKind::kExpr;
+      std::set<std::string> bound;
+      Walk(*s.expr, consumed, &bound);
+    }
+    for (const auto& c : s.body) Stmt(*c);
+    for (const auto& c : s.else_body) Stmt(*c);
+  }
+
+ private:
+  void Walk(const Expr& e, bool consumed, std::set<std::string>* bound) {
+    if (e.kind == ExprKind::kVarRef) {
+      if (bound->contains(e.var)) return;
+      const int prod = graph_.ProducerOf(e.var);
+      if (prod >= 0) {
+        graph_.nodes()[static_cast<size_t>(prod)].used_outside_graph = true;
+      }
+      return;
+    }
+    if (e.kind == ExprKind::kLambda) {
+      // Free variables of a lambda body are captures.
+      std::set<std::string> inner = *bound;
+      inner.insert(e.params.begin(), e.params.end());
+      if (e.body) Walk(*e.body, true, &inner);
+      return;
+    }
+    auto it = node_of_.find(&e);
+    const bool is_node = it != node_of_.end();
+    if (is_node && consumed) {
+      graph_.nodes()[it->second].used_outside_graph = true;
+    }
+    for (const auto& a : e.args) {
+      // A node's variable arguments are graph edges (or data arrays).
+      if (is_node && a->kind == ExprKind::kVarRef) continue;
+      Walk(*a, !is_node, bound);
+    }
+    if (e.body) Walk(*e.body, true, bound);
+  }
+
+  DepGraph& graph_;
+  std::unordered_map<const Expr*, uint32_t> node_of_;
+};
+
 }  // namespace
 
 Result<DepGraph> DepGraph::Build(const dsl::Program& program) {
   AVM_ASSIGN_OR_RETURN(DepGraph graph, GraphBuilder(program).Run());
+  OutsideUseMarker marker(&graph);
+  for (const auto& s : program.stmts) marker.Stmt(*s);
+  const std::vector<StmtPtr>* body = &program.stmts;
+  for (const auto& s : program.stmts) {
+    if (s->kind == StmtKind::kLoop) {
+      body = &s->body;
+      break;
+    }
+  }
+  for (const auto& s : *body) {
+    graph.stmt_hashes_.push_back(HashString(dsl::PrintStmt(*s)));
+  }
   for (DepNode& node : graph.nodes_) {
     uint64_t h = HashString(dsl::PrintExpr(*node.expr));
     h = HashCombine(h, HashString(graph.OutputNameOf(node.id)));
@@ -294,7 +364,9 @@ bool NodeEligible(const DepNode& n, const PartitionConstraints& c) {
 }
 
 // Count the memory streams of a candidate region: external arrays plus
-// values crossing the region boundary.
+// array values crossing the region boundary (its inputs and live-out
+// values; the scalar counts of writes/scatters and fold results are not
+// streams).
 size_t CountStreams(const DepGraph& g, const std::set<uint32_t>& region) {
   std::set<std::string> streams;
   for (uint32_t id : region) {
@@ -304,11 +376,12 @@ size_t CountStreams(const DepGraph& g, const std::set<uint32_t>& region) {
     for (uint32_t in : n.inputs) {
       if (!region.contains(in)) streams.insert("V:" + g.OutputNameOf(in));
     }
-    bool escapes = false;
-    for (uint32_t c : n.consumers) {
-      if (!region.contains(c)) escapes = true;
+    const bool scalar = n.kind == SkeletonKind::kWrite ||
+                        n.kind == SkeletonKind::kScatter ||
+                        n.kind == SkeletonKind::kFold;
+    if (!scalar && IsLiveOut(n, region)) {
+      streams.insert("V:" + g.OutputNameOf(id));
     }
-    if (escapes) streams.insert("V:" + g.OutputNameOf(id));
   }
   return streams.size();
 }
@@ -379,15 +452,50 @@ std::vector<std::string> Trace::ChunkVarInputs(
   return out;
 }
 
+namespace {
+
+// The trace a region compiles to: its nodes in topological order, and the
+// names crossing its boundary.
+Trace MakeTrace(const DepGraph& graph, const std::set<uint32_t>& region,
+                const std::vector<uint32_t>& topo_pos) {
+  Trace t;
+  std::set<std::string> ins, outs;
+  for (uint32_t id : region) {
+    const DepNode& n = graph.nodes()[id];
+    t.total_cost += n.cost;
+    t.node_ids.push_back(id);
+    for (const auto& r : n.external_reads) ins.insert(r);
+    for (const auto& w : n.external_writes) outs.insert(w);
+    for (uint32_t in : n.inputs) {
+      if (!region.contains(in)) ins.insert(graph.OutputNameOf(in));
+    }
+    if (IsLiveOut(n, region)) outs.insert(graph.OutputNameOf(id));
+  }
+  std::sort(t.node_ids.begin(), t.node_ids.end(),
+            [&](uint32_t a, uint32_t b) { return topo_pos[a] < topo_pos[b]; });
+  t.inputs.assign(ins.begin(), ins.end());
+  t.outputs.assign(outs.begin(), outs.end());
+  return t;
+}
+
+}  // namespace
+
 std::vector<Trace> GreedyPartition(const DepGraph& graph,
-                                   const PartitionConstraints& constraints) {
+                                   const PartitionConstraints& constraints,
+                                   const RegionCheck& check,
+                                   uint64_t* refusals) {
   const auto& nodes = graph.nodes();
   std::vector<bool> visited(nodes.size(), false);
   std::vector<Trace> traces;
+  uint64_t refused_steps = 0;
 
   auto topo = graph.TopoOrder();
   std::vector<uint32_t> topo_pos(nodes.size(), 0);
   for (size_t i = 0; i < topo.size(); ++i) topo_pos[topo[i]] = i;
+  auto verdict = [&](const std::set<uint32_t>& region) {
+    return check ? check(MakeTrace(graph, region, topo_pos))
+                 : RegionVerdict::kClean;
+  };
 
   while (true) {
     // Seed: most expensive unvisited eligible node.
@@ -401,55 +509,73 @@ std::vector<Trace> GreedyPartition(const DepGraph& graph,
     if (seed < 0) break;
 
     std::set<uint32_t> region{static_cast<uint32_t>(seed)};
+    const RegionVerdict seed_verdict = verdict(region);
+    if (seed_verdict == RegionVerdict::kRefused) {
+      ++refused_steps;
+      visited[static_cast<size_t>(seed)] = true;  // stays interpreted
+      continue;
+    }
+    // The last region state the check called clean: where an unclosed
+    // region is cut back to.
+    std::set<uint32_t> clean_prefix;
+    if (seed_verdict == RegionVerdict::kClean) clean_prefix = region;
+    std::set<uint32_t> refused;  // neighbours the check turned down
     while (region.size() < constraints.max_nodes) {
-      // Candidate = highest-cost unvisited eligible neighbor that keeps the
-      // stream budget.
-      int best = -1;
+      // Candidates: unvisited eligible neighbours that keep the stream
+      // budget and convexity, highest cost first (first-seen on ties).
+      std::vector<uint32_t> candidates;
       for (uint32_t id : region) {
         auto consider = [&](uint32_t cand) {
           if (visited[cand] || region.contains(cand)) return;
+          if (refused.contains(cand)) return;
           if (!NodeEligible(nodes[cand], constraints)) return;
+          if (std::find(candidates.begin(), candidates.end(), cand) !=
+              candidates.end()) {
+            return;
+          }
           std::set<uint32_t> tentative = region;
           tentative.insert(cand);
           if (CountStreams(graph, tentative) > constraints.max_streams) return;
           if (StmtConvexityViolation(graph, tentative) >= 0) return;
-          if (best < 0 ||
-              nodes[cand].cost > nodes[static_cast<size_t>(best)].cost) {
-            best = static_cast<int>(cand);
-          }
+          candidates.push_back(cand);
         };
         for (uint32_t in : nodes[id].inputs) consider(in);
         for (uint32_t c : nodes[id].consumers) consider(c);
       }
-      if (best < 0) break;
-      region.insert(static_cast<uint32_t>(best));
+      std::stable_sort(candidates.begin(), candidates.end(),
+                       [&](uint32_t a, uint32_t b) {
+                         return nodes[a].cost > nodes[b].cost;
+                       });
+      bool grew = false;
+      for (uint32_t cand : candidates) {
+        std::set<uint32_t> tentative = region;
+        tentative.insert(cand);
+        const RegionVerdict v = verdict(tentative);
+        if (v == RegionVerdict::kRefused) {
+          ++refused_steps;
+          refused.insert(cand);
+          continue;
+        }
+        region = std::move(tentative);
+        if (v == RegionVerdict::kClean) clean_prefix = region;
+        grew = true;
+        break;
+      }
+      if (!grew) break;
+    }
+    if (region != clean_prefix) {
+      // Growth ended unclosed: keep the last clean prefix. The nodes cut
+      // off stay unvisited and may seed or join a later region.
+      ++refused_steps;
+      region = std::move(clean_prefix);
+      if (region.empty()) {
+        visited[static_cast<size_t>(seed)] = true;  // stays interpreted
+        continue;
+      }
     }
 
-    Trace t;
-    for (uint32_t id : region) {
-      visited[id] = true;
-      t.total_cost += nodes[id].cost;
-      t.node_ids.push_back(id);
-    }
-    std::sort(t.node_ids.begin(), t.node_ids.end(),
-              [&](uint32_t a, uint32_t b) { return topo_pos[a] < topo_pos[b]; });
-    // Boundary names.
-    std::set<std::string> ins, outs;
-    for (uint32_t id : region) {
-      const DepNode& n = nodes[id];
-      for (const auto& r : n.external_reads) ins.insert(r);
-      for (const auto& w : n.external_writes) outs.insert(w);
-      for (uint32_t in : n.inputs) {
-        if (!region.contains(in)) ins.insert(graph.OutputNameOf(in));
-      }
-      bool escapes = false;
-      for (uint32_t c : n.consumers) {
-        if (!region.contains(c)) escapes = true;
-      }
-      if (escapes) outs.insert(graph.OutputNameOf(id));
-    }
-    t.inputs.assign(ins.begin(), ins.end());
-    t.outputs.assign(outs.begin(), outs.end());
+    for (uint32_t id : region) visited[id] = true;
+    Trace t = MakeTrace(graph, region, topo_pos);
     if (t.total_cost >= constraints.min_trace_cost) {
       traces.push_back(std::move(t));
     }
@@ -458,6 +584,7 @@ std::vector<Trace> GreedyPartition(const DepGraph& graph,
             [](const Trace& a, const Trace& b) {
               return a.total_cost > b.total_cost;
             });
+  if (refusals != nullptr) *refusals = refused_steps;
   return traces;
 }
 

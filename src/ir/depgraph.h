@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -34,6 +35,11 @@ struct DepNode {
 
   std::vector<uint32_t> inputs;       ///< producing nodes
   std::vector<uint32_t> consumers;    ///< consuming nodes
+  /// True when something that is not a graph node reads this node's value:
+  /// `len`, a scalar or control-flow statement, a lambda capture, or a
+  /// statement outside the loop body. Such a read can never join a trace,
+  /// so a trace holding this node must always publish its value.
+  bool used_outside_graph = false;
 
   /// External arrays touched (data arrays read/written).
   std::vector<std::string> external_reads;
@@ -68,23 +74,50 @@ class DepGraph {
   /// Topological order (inputs before consumers).
   std::vector<uint32_t> TopoOrder() const;
 
+  /// Hash of the printed loop-body statement with ordinal `stmt_index`
+  /// (DepNode::stmt_index numbering).
+  uint64_t StmtHash(uint32_t stmt_index) const {
+    return stmt_hashes_[stmt_index];
+  }
+
   std::string ToDot() const;  ///< graphviz, for documentation/debugging
 
  private:
   std::vector<DepNode> nodes_;
   std::vector<std::pair<std::string, uint32_t>> producers_;
+  std::vector<uint64_t> stmt_hashes_;
 };
+
+/// True when something outside `region` reads node `n`'s value: a consumer
+/// node outside the region, or a non-graph use (DepNode::used_outside_graph).
+/// The one answer to "which values must a trace publish" — the partitioner's
+/// trace outputs, the verifier's escape rules, codegen's outputs and the
+/// trace-cache fingerprint all ask it.
+template <typename Region>
+bool IsLiveOut(const DepNode& n, const Region& region) {
+  if (n.used_outside_graph) return true;
+  for (uint32_t c : n.consumers) {
+    if (!region.contains(c)) return true;
+  }
+  return false;
+}
 
 /// Heuristic constraints of the greedy partitioner (paper §III-B):
 ///  - `max_streams`: no more than n inputs+intermediates per function,
-///    derived from the TLB size (prevents TLB thrashing);
+///    derived from the TLB size (prevents TLB thrashing). Every array the
+///    fused loop touches counts: data reads and writes, chunk-value inputs
+///    and live-out values. 16 holds TPC-H Q1 as one function (7 column
+///    reads, 5 accumulator scatters, the row-count column `len` reads),
+///    far below a 64-entry L1 dTLB;
 ///  - `allow_filter`: when false, filter ops are not merged into functions
-///    (restricting branch-misprediction impact / selection-vector data
-///    dependencies to dedicated functions);
+///    (the paper's heuristic: branch-misprediction impact and
+///    selection-vector data dependencies stay in dedicated functions). On by
+///    default: the region check (RegionCheck) keeps filter regions to the
+///    shapes the verifier accepts, so a whole filter pipeline fuses;
 ///  - `min_trace_cost`: traces cheaper than this are not worth compiling.
 struct PartitionConstraints {
-  size_t max_streams = 12;
-  bool allow_filter = false;
+  size_t max_streams = 16;
+  bool allow_filter = true;
   bool allow_condense = true;
   bool allow_scatter_gather = true;
   double min_trace_cost = 0.0;
@@ -95,7 +128,9 @@ struct PartitionConstraints {
 struct Trace {
   std::vector<uint32_t> node_ids;      ///< in topological order
   std::vector<std::string> inputs;     ///< value names entering the trace
-  std::vector<std::string> outputs;    ///< value names leaving the trace
+  /// Names leaving the trace: written data arrays and live-out values
+  /// (IsLiveOut).
+  std::vector<std::string> outputs;
   double total_cost = 0;
 
   bool Contains(uint32_t id) const {
@@ -135,12 +170,32 @@ int StmtConvexityViolation(const DepGraph& graph,
 int StmtConvexityViolation(const DepGraph& graph,
                            const std::vector<uint32_t>& region);
 
+/// What a partition-time region check says about a candidate region.
+enum class RegionVerdict : uint8_t {
+  kClean,    ///< compilable as it stands
+  kOpen,     ///< not yet compilable, but growing the region may repair it
+             ///< (e.g. a filter whose consumer is still outside)
+  kRefused,  ///< no growth can make it compilable (e.g. a second filter)
+};
+
+/// Judges a candidate region (the verifier's predicates, bound to a
+/// program and a selection context by the caller).
+using RegionCheck = std::function<RegionVerdict(const Trace&)>;
+
 /// Greedy partitioning: repeatedly seed with the most expensive unvisited
 /// node and grow along edges while constraints hold. Regions are kept
-/// statement-convex (StmtConvexityViolation). Returns traces sorted by
-/// descending total cost. Traces may not cover the whole graph (remaining
-/// nodes stay interpreted) — exactly as the paper allows.
+/// statement-convex (StmtConvexityViolation). With a `check`, each growth
+/// step is judged too: a step the check refuses is not taken (the next
+/// best neighbour is tried instead), and a region whose growth ends
+/// unclosed is cut back to its last clean prefix — so every returned trace
+/// is one the check called clean. `refusals`, when non-null, receives the
+/// number of steps the check turned down (refused steps, refused seeds and
+/// cut-backs). Returns traces sorted by descending total cost. Traces may
+/// not cover the whole graph (remaining nodes stay interpreted) — exactly
+/// as the paper allows.
 std::vector<Trace> GreedyPartition(const DepGraph& graph,
-                                   const PartitionConstraints& constraints);
+                                   const PartitionConstraints& constraints,
+                                   const RegionCheck& check = {},
+                                   uint64_t* refusals = nullptr);
 
 }  // namespace avm::ir

@@ -51,54 +51,75 @@ const char* CType(TypeId t) {
 // definitions MUST stay layout-identical to src/jit/trace_abi.h — the
 // generated code is compiled standalone and cannot include it.
 const char* kPreamble = R"(#include <cstdint>
-#include <cmath>
-#include <limits>
-#include <type_traits>
 
 namespace {
+// Per-type traits instead of <type_traits>/<limits>: integers wrap through
+// their unsigned twin, and kMin / -1 is the one overflowing quotient.
+template <class T> struct avm_int { static constexpr bool kYes = false; };
+#define AVM_INT(T, UT, SIGNED, MIN)                                    \
+  template <> struct avm_int<T> {                                      \
+    static constexpr bool kYes = true, kSigned = SIGNED;               \
+    using U = UT;                                                      \
+    static constexpr T kMin = MIN;                                     \
+  };
+AVM_INT(int8_t, uint8_t, true, INT8_MIN)
+AVM_INT(int16_t, uint16_t, true, INT16_MIN)
+AVM_INT(int32_t, uint32_t, true, INT32_MIN)
+AVM_INT(int64_t, uint64_t, true, INT64_MIN)
+AVM_INT(unsigned char, unsigned char, false, 0)
+#undef AVM_INT
+inline float avm_fmod(float a, float b) { return __builtin_fmodf(a, b); }
+inline double avm_fmod(double a, double b) { return __builtin_fmod(a, b); }
+inline float avm_fabs(float a) { return __builtin_fabsf(a); }
+inline double avm_fabs(double a) { return __builtin_fabs(a); }
+inline float avm_sqrt(float a) { return __builtin_sqrtf(a); }
+inline double avm_sqrt(double a) { return __builtin_sqrt(a); }
+
 template <class T> inline T avm_addw(T a, T b) {
-  if constexpr (std::is_integral<T>::value) {
-    using U = typename std::make_unsigned<T>::type;
+  if constexpr (avm_int<T>::kYes) {
+    using U = typename avm_int<T>::U;
     return T(U(a) + U(b));
   } else { return a + b; }
 }
 template <class T> inline T avm_subw(T a, T b) {
-  if constexpr (std::is_integral<T>::value) {
-    using U = typename std::make_unsigned<T>::type;
+  if constexpr (avm_int<T>::kYes) {
+    using U = typename avm_int<T>::U;
     return T(U(a) - U(b));
   } else { return a - b; }
 }
 template <class T> inline T avm_mulw(T a, T b) {
-  if constexpr (std::is_integral<T>::value) {
-    using U = typename std::make_unsigned<T>::type;
+  if constexpr (avm_int<T>::kYes) {
+    using U = typename avm_int<T>::U;
     return T(U(a) * U(b));
   } else { return a * b; }
 }
 template <class T> inline T avm_div(T a, T b) {
-  if constexpr (std::is_integral<T>::value) {
+  if constexpr (avm_int<T>::kYes) {
     if (b == 0) return T(0);
-    if constexpr (std::is_signed<T>::value) {
-      if (b == T(-1)) {
-        return a == std::numeric_limits<T>::min() ? a : T(-a);
-      }
+    if constexpr (avm_int<T>::kSigned) {
+      if (b == T(-1)) return a == avm_int<T>::kMin ? a : T(-a);
     }
     return T(a / b);
   } else { return a / b; }
 }
 template <class T> inline T avm_mod(T a, T b) {
-  if constexpr (std::is_integral<T>::value) {
+  if constexpr (avm_int<T>::kYes) {
     if (b == 0) return T(0);
-    if constexpr (std::is_signed<T>::value) { if (b == T(-1)) return T(0); }
+    if constexpr (avm_int<T>::kSigned) { if (b == T(-1)) return T(0); }
     return T(a % b);
-  } else { return T(std::fmod(a, b)); }
+  } else { return avm_fmod(a, b); }
 }
 template <class T> inline T avm_neg(T a) {
-  if constexpr (std::is_integral<T>::value) {
-    using U = typename std::make_unsigned<T>::type;
+  if constexpr (avm_int<T>::kYes) {
+    using U = typename avm_int<T>::U;
     return T(U(0) - U(a));
   } else { return -a; }
 }
-template <class T> inline T avm_abs(T a) { return a < T(0) ? avm_neg(a) : a; }
+template <class T> inline T avm_abs(T a) {
+  if constexpr (avm_int<T>::kYes) {
+    return a < T(0) ? avm_neg(a) : a;
+  } else { return avm_fabs(a); }
+}
 inline long long avm_hash(long long k0) {
   unsigned long long k = (unsigned long long)k0;
   k ^= k >> 33; k *= 0xff51afd7ed558ccdULL;
@@ -145,8 +166,10 @@ Result<PrimProgram> NormalizeVerified(const Expr& lambda,
 class TraceEmitter {
  public:
   TraceEmitter(const dsl::Program& program, const DepGraph& graph,
-               const Trace& trace, const CodegenOptions& options)
-      : program_(program), graph_(graph), trace_(trace), options_(options) {}
+               const Trace& trace, const analysis::TraceAnalysis& analysis,
+               const CodegenOptions& options)
+      : program_(program), graph_(graph), trace_(trace), options_(options),
+        a_(analysis) {}
 
   Result<GeneratedTrace> Run();
 
@@ -195,8 +218,8 @@ class TraceEmitter {
   const Trace& trace_;
   const CodegenOptions& options_;
 
-  /// The verifier's facts about the trace (filled by Run before emission).
-  analysis::TraceAnalysis a_;
+  /// The verifier's facts about the (clean) trace.
+  const analysis::TraceAnalysis& a_;
   GeneratedTrace out_;
   std::unordered_map<std::string, size_t> input_slot_;  // spec name key -> idx
   std::unordered_map<uint32_t, size_t> node_out_slot_;  // write/scatter node
@@ -263,14 +286,15 @@ Status TraceEmitter::AssignInputsOutputs() {
     }
   }
 
-  // The scalar result of a let-bound write/scatter (the program consumes
-  // the written count — condensing-output cursors).
+  // The scalar result of a write/scatter the program reads (the written
+  // count — condensing-output cursors).
   auto result_var_of = [&](uint32_t id) -> std::string {
     std::string name = graph_.OutputNameOf(id);
-    return a_.let_types.contains(name) ? name : std::string();
+    return a_.LiveOut(id) && a_.let_types.contains(name) ? name
+                                                         : std::string();
   };
 
-  // Outputs: data writes/scatters + escaping values + fold scalars.
+  // Outputs: data writes/scatters + live-out values + fold scalars.
   for (uint32_t id : trace_.node_ids) {
     const DepNode& n = graph_.nodes()[id];
     if (n.kind == SkeletonKind::kWrite) {
@@ -320,27 +344,14 @@ Status TraceEmitter::AssignInputsOutputs() {
       out_.outputs.push_back(std::move(spec));
       continue;
     }
-    // Escaping array value?
-    std::string name = graph_.OutputNameOf(id);
-    bool is_traced_output = false;
-    for (const auto& o : trace_.outputs) {
-      if (o == name) is_traced_output = true;
-    }
-    bool consumed_outside = false;
-    for (uint32_t c : n.consumers) {
-      if (!InTrace(c)) consumed_outside = true;
-    }
-    // A value also escapes when scalar statements outside the graph use it
-    // (e.g. len(a)) — conservatively, every let-bound trace value escapes so
-    // the environment stays consistent after injection.
-    bool let_bound = a_.let_types.contains(name);
-    if (is_traced_output || consumed_outside || let_bound) {
-      bool condensed = n.kind == SkeletonKind::kCondense;
+    // Only values something outside the trace reads are stored; every
+    // other intermediate lives in registers.
+    if (a_.LiveOut(id)) {
       TraceOutputSpec spec;
       spec.kind = TraceOutputSpec::Kind::kArrayVar;
-      spec.name = name;
+      spec.name = graph_.OutputNameOf(id);
       spec.type = n.expr->type;
-      spec.condensed = condensed;
+      spec.condensed = n.kind == SkeletonKind::kCondense;
       spec.sel_dependent = SelDependent(id);
       node_out_slot_[id] = out_.outputs.size();
       out_.outputs.push_back(std::move(spec));
@@ -432,8 +443,8 @@ Result<std::string> TraceEmitter::EmitPrim(
       case ScalarOp::kAbs: expr = StrFormat("avm_abs<%s>(%s)", it, a.c_str()); break;
       case ScalarOp::kSqrt:
         expr = instr.out_type == TypeId::kF32
-                   ? StrFormat("std::sqrt((float)%s)", a.c_str())
-                   : StrFormat("std::sqrt((double)%s)", a.c_str());
+                   ? StrFormat("avm_sqrt((float)%s)", a.c_str())
+                   : StrFormat("avm_sqrt((double)%s)", a.c_str());
         break;
       case ScalarOp::kCast: expr = a; break;
       case ScalarOp::kHash:
@@ -752,12 +763,6 @@ Status TraceEmitter::EmitNodes() {
 }
 
 Result<GeneratedTrace> TraceEmitter::Run() {
-  // The verifier is the decline authority: a dirty trace declines with its
-  // diagnostics, a clean one is emitted from the facts it computed.
-  analysis::TraceContext ctx;
-  ctx.sel_inputs = options_.sel_inputs;
-  AVM_RETURN_NOT_OK(
-      analysis::VerifyTrace(program_, graph_, trace_, ctx, &a_).ToStatus());
   out_.covered_stmt_ids = a_.covered_stmt_ids;
   out_.anchor_stmt_id = a_.anchor_stmt_id;
   out_.sel_inputs.assign(a_.sel_inputs.begin(), a_.sel_inputs.end());
@@ -842,8 +847,9 @@ Result<GeneratedTrace> TraceEmitter::Run() {
 Result<GeneratedTrace> GenerateTrace(const dsl::Program& program,
                                      const ir::DepGraph& graph,
                                      const ir::Trace& trace,
+                                     const analysis::TraceAnalysis& analysis,
                                      const CodegenOptions& options) {
-  return TraceEmitter(program, graph, trace, options).Run();
+  return TraceEmitter(program, graph, trace, analysis, options).Run();
 }
 
 }  // namespace avm::jit

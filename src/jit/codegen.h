@@ -10,10 +10,10 @@
 #pragma once
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "analysis/verify_trace.h"
 #include "dsl/ast.h"
 #include "ir/depgraph.h"
 #include "jit/trace_abi.h"
@@ -110,26 +110,24 @@ struct CodegenOptions {
   /// (currently kFor: operate on narrow deltas + reference; paper §III-C
   /// compressed execution). Missing entries decode to plain values.
   std::map<std::string, Scheme> scheme_specialization;
-  /// Specialize these chunk-variable inputs as selection-carrying (the
-  /// VM observes which trace inputs hold a selection vector and makes it
-  /// part of the situation, like compression schemes). Names that are not
-  /// chunk inputs of the trace are ignored.
-  std::set<std::string> sel_inputs;
   /// Emit a bounds comment header with the trace's dependency info.
   bool emit_debug_comments = true;
 };
 
-/// Generate the source of `trace`. analysis::VerifyTrace decides whether
-/// the trace compiles: a trace it rejects declines with NotImplemented
-/// whose message leads with the first diagnostic's "[rule-id]"; a verified
-/// trace always emits, and Internal marks an emission gap (a shape the
-/// verifier accepted but emission cannot express). Gathers and scatters
-/// compile with generated bounds checks reporting through TraceFault;
-/// let-bound write counts publish through the scalar-state slots. The
-/// program must be type-checked.
+/// Generate the source of `trace` from `analysis`, the TraceAnalysis of a
+/// clean analysis::VerifyTrace run over the same trace (the verifier alone
+/// decides whether a trace compiles; the caller verifies once and hands the
+/// result over). The selection-carrying variant is the one the analysis
+/// was verified for (TraceAnalysis::sel_inputs). A verified trace always
+/// emits; Internal marks an emission gap (a shape the verifier accepted but
+/// emission cannot express). Only live-out values (TraceAnalysis::live_out)
+/// are stored. Gathers and scatters compile with generated bounds checks
+/// reporting through TraceFault; write counts the program reads publish
+/// through the scalar-state slots. The program must be type-checked.
 Result<GeneratedTrace> GenerateTrace(const dsl::Program& program,
                                      const ir::DepGraph& graph,
                                      const ir::Trace& trace,
+                                     const analysis::TraceAnalysis& analysis,
                                      const CodegenOptions& options = {});
 
 }  // namespace avm::jit

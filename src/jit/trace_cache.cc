@@ -1,6 +1,8 @@
 #include "jit/trace_cache.h"
 
+#include <algorithm>
 #include <sstream>
+#include <unordered_set>
 
 #include "util/hash.h"
 
@@ -50,10 +52,25 @@ std::string Situation::ToString() const {
 }
 
 uint64_t TraceFingerprint(const ir::DepGraph& graph, const ir::Trace& trace) {
+  const std::unordered_set<uint32_t> region(trace.node_ids.begin(),
+                                            trace.node_ids.end());
   uint64_t h = 0xabcdef12345678ull;
+  uint32_t anchor = UINT32_MAX, last = 0;
   for (uint32_t id : trace.node_ids) {
-    h = HashCombine(h, graph.nodes()[id].shape_hash);
+    const ir::DepNode& n = graph.nodes()[id];
+    h = HashCombine(h, n.shape_hash);
     h = HashCombine(h, id);
+    h = HashCombine(h, ir::IsLiveOut(n, region) ? 1 : 0);
+    for (uint32_t in : n.inputs) {
+      if (!region.contains(in)) {
+        h = HashCombine(h, graph.nodes()[in].stmt_index);
+      }
+    }
+    anchor = std::min(anchor, n.stmt_index);
+    last = std::max(last, n.stmt_index);
+  }
+  for (uint32_t s = anchor; s <= last && !trace.node_ids.empty(); ++s) {
+    h = HashCombine(h, graph.StmtHash(s));
   }
   return h;
 }
@@ -116,6 +133,20 @@ Result<std::shared_ptr<TraceEntry>> TraceCache::GetOrCompile(
   AVM_RETURN_NOT_OK(fresh.status());
   *compiled_fresh = true;
   return entry;
+}
+
+std::shared_ptr<const std::vector<ir::Trace>> TraceCache::FindPartition(
+    uint64_t key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = partitions_.find(key);
+  return it == partitions_.end() ? nullptr : it->second;
+}
+
+void TraceCache::InsertPartition(uint64_t key, std::vector<ir::Trace> traces) {
+  auto entry =
+      std::make_shared<const std::vector<ir::Trace>>(std::move(traces));
+  std::lock_guard<std::mutex> lock(mu_);
+  partitions_[key] = std::move(entry);
 }
 
 size_t TraceCache::size() const {

@@ -5,9 +5,10 @@
 // then chooses — based on the current situation — a trace, if it already
 // learned about that situation, or falls back to interpretation."
 //
-// A situation is: the trace's node set, the compression schemes its reads
-// are specialized for, which chunk inputs carry a selection vector, and a
-// coarse selectivity bucket.
+// A situation is: the trace's node set (with its live-out values and
+// statement context), the compression schemes its reads are specialized
+// for, which chunk inputs carry a selection vector, and a coarse
+// selectivity bucket.
 #pragma once
 
 #include <functional>
@@ -53,9 +54,14 @@ struct Situation {
   std::string ToString() const;
 };
 
-/// Fingerprint of the code a trace compiles to: its node ids and each
-/// node's DepNode::shape_hash, so structurally different traces never share
-/// a cache entry.
+/// Fingerprint of the code a trace compiles to and of everything its
+/// verification reads: each node's id and DepNode::shape_hash, which nodes
+/// are live-out (ir::IsLiveOut — so two plans whose trace nodes match but
+/// whose outside uses differ never share an entry), the loop-body
+/// statements its statement span covers (DepGraph::StmtHash), and the
+/// statement ordinal of each boundary input's producer. A cache entry is
+/// only ever inserted after a clean verification, so a hit for this key
+/// needs no re-verification.
 uint64_t TraceFingerprint(const ir::DepGraph& graph, const ir::Trace& trace);
 
 /// Thread-safe: a single cache is shared by all workers of a parallel
@@ -92,6 +98,15 @@ class TraceCache {
   uint64_t hits() const;
   uint64_t misses() const;
 
+  /// The partition one VM computed for `key`: a dependency graph's shape
+  /// together with the node costs, selection observations and constraints
+  /// it was partitioned under (AdaptiveVm computes the key). Every morsel
+  /// worker and every repeated query of the shape reuses it instead of
+  /// growing regions under the verifier again. Null when absent.
+  std::shared_ptr<const std::vector<ir::Trace>> FindPartition(
+      uint64_t key) const;
+  void InsertPartition(uint64_t key, std::vector<ir::Trace> traces);
+
  private:
   /// Find without touching the hit/miss counters (internal re-checks).
   std::shared_ptr<TraceEntry> Lookup(uint64_t key) const;
@@ -104,6 +119,8 @@ class TraceCache {
       AVM_GUARDED_BY(mu_);
   std::unordered_map<uint64_t, std::shared_ptr<TraceEntry>> entries_
       AVM_GUARDED_BY(mu_);
+  std::unordered_map<uint64_t, std::shared_ptr<const std::vector<ir::Trace>>>
+      partitions_ AVM_GUARDED_BY(mu_);
   mutable uint64_t hits_ AVM_GUARDED_BY(mu_) = 0;
   mutable uint64_t misses_ AVM_GUARDED_BY(mu_) = 0;
 };

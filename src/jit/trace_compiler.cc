@@ -131,11 +131,12 @@ TraceEntry::TraceEntry(CompiledTrace trace, uint64_t situation_key)
 
 Result<TieredCompileOutcome> CompileTraceTiered(
     const dsl::Program& program, const ir::DepGraph& graph,
-    const ir::Trace& trace, const CodegenOptions& options, TierPolicy policy,
+    const ir::Trace& trace, const analysis::TraceAnalysis& analysis,
+    const CodegenOptions& options, TierPolicy policy,
     const std::shared_ptr<DiskTraceCache>& disk, uint64_t situation_key) {
   TieredCompileOutcome out;
   AVM_ASSIGN_OR_RETURN(GeneratedTrace gen,
-                       GenerateTrace(program, graph, trace, options));
+                       GenerateTrace(program, graph, trace, analysis, options));
   const uint64_t source_hash = HashString(gen.source);
   policy = ResolveTierPolicy(policy);
   const JitTier initial = policy == TierPolicy::kOptimizedOnly

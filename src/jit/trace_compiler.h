@@ -114,14 +114,16 @@ struct TieredCompileOutcome {
   double compile_seconds = 0;  ///< backend wall time (0 on disk hit)
 };
 
-/// Generate a trace, then obtain its machine code the cheapest honest way:
-/// consult `disk` (when non-null) for an artifact of an allowed tier before
-/// invoking a backend; on miss compile at the policy's initial tier (fast
-/// for kTiered/kFastOnly, optimized for kOptimizedOnly) and publish the
+/// Generate a verified trace (GenerateTrace over its clean `analysis`),
+/// then obtain its machine code the cheapest honest way: consult `disk`
+/// (when non-null) for an artifact of an allowed tier before invoking a
+/// backend; on miss compile at the policy's initial tier (fast for
+/// kTiered/kFastOnly, optimized for kOptimizedOnly) and publish the
 /// artifact back to `disk`. `situation_key` keys the persistent entry.
 Result<TieredCompileOutcome> CompileTraceTiered(
     const dsl::Program& program, const ir::DepGraph& graph,
-    const ir::Trace& trace, const CodegenOptions& options, TierPolicy policy,
+    const ir::Trace& trace, const analysis::TraceAnalysis& analysis,
+    const CodegenOptions& options, TierPolicy policy,
     const std::shared_ptr<DiskTraceCache>& disk, uint64_t situation_key);
 
 /// Build the interpreter injection over a live cache entry. The injection:

@@ -1,11 +1,13 @@
 #include "vm/adaptive_vm.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 
 #include "analysis/verify_trace.h"
 #include "jit/backend_cc.h"
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -140,6 +142,18 @@ Status AdaptiveVm::OptimizePass(Interpreter& in, uint64_t iteration) {
     for (const auto& node : graph_.nodes()) {
       static_cost_.push_back(node.cost);  // per-tuple cost from BaseCost
     }
+    const ir::PartitionConstraints& c = options_.constraints;
+    graph_key_ = HashCombine(c.max_streams, c.max_nodes);
+    graph_key_ = HashCombine(graph_key_, c.allow_filter);
+    graph_key_ = HashCombine(graph_key_, c.allow_condense);
+    graph_key_ = HashCombine(graph_key_, c.allow_scatter_gather);
+    graph_key_ =
+        HashCombine(graph_key_, std::bit_cast<uint64_t>(c.min_trace_cost));
+    for (const auto& node : graph_.nodes()) {
+      graph_key_ = HashCombine(graph_key_, node.shape_hash);
+      graph_key_ = HashCombine(graph_key_, node.used_outside_graph);
+      graph_key_ = HashCombine(graph_key_, graph_.StmtHash(node.stmt_index));
+    }
   }
   // Refresh node costs from the profile (hot-path identification). The
   // unit is DETERMINISTIC work: the node's static per-tuple cost weighted
@@ -160,13 +174,39 @@ Status AdaptiveVm::OptimizePass(Interpreter& in, uint64_t iteration) {
     total_units += units[node.id];
   }
   double total_cost = 0;
+  uint64_t partition_key = graph_key_;
   for (auto& node : graph_.nodes()) {
     if (units[node.id] > 0 && total_units > 0) {
       node.cost = BucketCostShare(units[node.id], total_units);
     }
     total_cost += node.cost;
+    Result<interp::Value> v = in.GetVar(graph_.OutputNameOf(node.id));
+    const bool sel =
+        v.ok() && v.value().is_array() && v.value().array->has_sel();
+    partition_key =
+        HashCombine(partition_key, std::bit_cast<uint64_t>(node.cost));
+    partition_key = HashCombine(partition_key, sel ? 1 : 0);
   }
-  traces_ = ir::GreedyPartition(graph_, options_.constraints);
+  // The partition depends only on the graph, the costs and the selections
+  // the region check observes: recheck passes that see the same reuse it,
+  // and so does every VM sharing the trace cache.
+  if (auto shared = cache_->FindPartition(partition_key)) {
+    traces_ = *shared;
+  } else {
+    // Regions grow only while the verifier's predicates allow, under the
+    // selection situation each candidate would be installed for.
+    uint64_t refusals = 0;
+    traces_ = ir::GreedyPartition(
+        graph_, options_.constraints,
+        [&](const ir::Trace& t) {
+          analysis::TraceContext ctx;
+          ctx.sel_inputs = ObserveSelections(in, t);
+          return analysis::CheckRegion(*program_, graph_, t, ctx);
+        },
+        &refusals);
+    report_.partition_refusals += refusals;
+    cache_->InsertPartition(partition_key, traces_);
+  }
 
   bool any_compiled = false;
   size_t installed_this_pass = 0;
@@ -224,42 +264,45 @@ Status AdaptiveVm::InstallTrace(Interpreter& in, const ir::Trace& trace,
     return Status::NotFound("already installed");  // benign skip
   }
 
-  // The verifier decides whether the trace compiles (the §6 decline
-  // taxonomy as machine-checked predicates). A rejected trace declines
-  // here, before the trace cache or codegen see it.
-  analysis::TraceContext vctx;
-  vctx.sel_inputs = sel_inputs;
-  const analysis::VerifyResult vr =
-      analysis::VerifyTrace(*program_, graph_, trace, vctx);
-  ++report_.verifier_checked;
-  if (!vr.clean()) {
-    ++report_.verifier_rejects;
-    if (report_.verifier_diagnostic.empty()) {
-      report_.verifier_diagnostic = vr.diagnostics.front().ToString();
-    }
-    return vr.ToStatus();
-  }
-
   bool compiled_fresh = false;
   jit::TieredCompileOutcome outcome;
   Result<std::shared_ptr<jit::TraceEntry>> got = cache_->GetOrCompile(
       situation,
-      // The callback loads from the persistent disk cache when one is
-      // configured, and only invokes a backend on a true cold miss;
-      // `outcome` reports which happened (timed inside the callback so
-      // waiting on the cache's compile lock is not charged).
+      // Runs only for a situation the cache does not hold. The verifier
+      // decides whether the trace compiles (the §6 decline taxonomy as
+      // machine-checked predicates): a rejected trace declines here, and a
+      // clean one is emitted from the analysis the verifier filled in — one
+      // verification per situation, none on a cache hit. The compile step
+      // loads from the persistent disk cache when one is configured, and
+      // only invokes a backend on a true cold miss; `outcome` reports which
+      // happened (timed inside the callback so waiting on the cache's
+      // compile lock is not charged).
       [&]() -> Result<jit::CompiledTrace> {
+        analysis::TraceContext vctx;
+        vctx.sel_inputs = sel_inputs;
+        analysis::TraceAnalysis analysis;
+        const analysis::VerifyResult vr =
+            analysis::VerifyTrace(*program_, graph_, trace, vctx, &analysis);
+        ++report_.verifier_checked;
+        if (!vr.clean()) {
+          ++report_.verifier_rejects;
+          if (report_.verifier_diagnostic.empty()) {
+            report_.verifier_diagnostic = vr.diagnostics.front().ToString();
+          }
+          return vr.ToStatus();
+        }
         jit::CodegenOptions cg;
         cg.scheme_specialization = situation.schemes;
-        cg.sel_inputs = sel_inputs;
         AVM_ASSIGN_OR_RETURN(
-            outcome, jit::CompileTraceTiered(*program_, graph_, trace, cg,
-                                             tier_policy_, disk_, key));
+            outcome,
+            jit::CompileTraceTiered(*program_, graph_, trace, analysis, cg,
+                                    tier_policy_, disk_, key));
         return std::move(outcome.trace);
       },
       &compiled_fresh);
-  // Internal (an emission gap) fails the query; a host-compiler or loader
-  // failure declines and the fragment stays interpreted.
+  // A verifier reject declines; Internal (an emission gap) fails the
+  // query; a host-compiler or loader failure declines and the fragment
+  // stays interpreted.
   AVM_RETURN_NOT_OK(got.status());
   std::shared_ptr<jit::TraceEntry> entry = std::move(got).ValueOrDie();
   if (compiled_fresh) {

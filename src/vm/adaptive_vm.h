@@ -102,14 +102,17 @@ struct VmReport {
   /// ends is requested-but-not-completed.
   uint64_t tier_upgrades_requested = 0;
   uint64_t tier_upgrades = 0;
-  /// Static-verifier activity: candidate traces analysis::VerifyTrace
-  /// checked (cache hits included) and traces it rejected — a rejected
-  /// trace declines without reaching the trace cache or codegen.
-  /// verifier_diagnostic carries the first diagnostic of the run, empty
-  /// when every trace verified clean.
+  /// Static-verifier activity: trace situations analysis::VerifyTrace
+  /// checked — only those the trace cache does not hold yet; an entry is
+  /// inserted only after a clean verification — and traces it rejected — a
+  /// rejected trace declines without reaching codegen. verifier_diagnostic
+  /// carries the first diagnostic of the run, empty when every trace
+  /// verified clean. partition_refusals counts the growth steps the
+  /// partitioner's region check (analysis::CheckRegion) turned down.
   uint64_t verifier_checked = 0;
   uint64_t verifier_rejects = 0;
   std::string verifier_diagnostic;
+  uint64_t partition_refusals = 0;
 };
 
 /// The adaptive virtual machine (file comment above): a vectorized
@@ -164,6 +167,10 @@ class AdaptiveVm {
   jit::TraceCache own_cache_;
   jit::TraceCache* cache_ = &own_cache_;  ///< points at own_cache_ or shared
   std::vector<ir::Trace> traces_;
+  /// Hash of the graph's shape (node shapes and outside uses, loop-body
+  /// statements) and the partition constraints, taken at graph build; the
+  /// partition key adds node costs and selection states to it.
+  uint64_t graph_key_ = 0;
   std::unordered_set<uint64_t> installed_;
   bool optimized_once_ = false;
   VmReport report_;

@@ -1,8 +1,9 @@
 // Static-verifier unit tests: one deliberately malformed shape per rule id
-// (docs/VERIFIER.md), each also driven through jit::GenerateTrace, whose
-// decline must carry that rule id (the verifier is codegen's only decline
-// authority); and the partitioner's own traces either compile or decline
-// with the verifier's first rule.
+// (docs/VERIFIER.md), each checked for the decline status the VM reports
+// (VerifyResult::ToStatus must carry that rule id — the verifier is the
+// only decline authority); and the partitioner, growing regions under the
+// verifier's predicates (CheckRegion), proposes only traces that verify
+// clean and that codegen emits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -82,22 +83,9 @@ ir::Trace MakeTrace(std::vector<int> ids, std::vector<std::string> inputs,
   return t;
 }
 
-/// GenerateTrace's decline for a verifier-rejected trace: NotImplemented,
-/// led by the first diagnostic's "[rule-id]".
-void ExpectDeclinedLike(const Result<jit::GeneratedTrace>& gen,
-                        const VerifyResult& vr) {
-  ASSERT_FALSE(gen.ok()) << "codegen accepted a trace the verifier rejects:\n"
-                         << vr.ToString();
-  EXPECT_TRUE(gen.status().IsNotImplemented()) << gen.status().ToString();
-  const std::string lead = "[" + vr.diagnostics.front().rule_id + "]";
-  EXPECT_EQ(gen.status().message().rfind(lead, 0), 0u)
-      << "decline does not lead with " << lead << ": "
-      << gen.status().message();
-}
-
-/// One malformed trace: the verifier must flag `rule`, and codegen must
-/// decline the same trace under the same selection specialization with a
-/// message that carries `rule`.
+/// One malformed trace: the verifier must flag `rule`, and the decline the
+/// VM reports for it (VerifyResult::ToStatus) is NotImplemented, led by the
+/// first diagnostic's "[rule-id]" and carrying `rule`.
 void ExpectRejectedByRule(const Program& p, const ir::DepGraph& g,
                           const ir::Trace& tr, const char* rule,
                           const std::set<std::string>& sel = {}) {
@@ -107,16 +95,14 @@ void ExpectRejectedByRule(const Program& p, const ir::DepGraph& g,
   ASSERT_FALSE(vr.clean()) << "expected rule " << rule;
   EXPECT_NE(vr.FindRule(rule), nullptr)
       << "expected rule " << rule << ", got:\n" << vr.ToString();
-  jit::CodegenOptions opts;
-  opts.sel_inputs = sel;
-  auto gen = jit::GenerateTrace(p, g, tr, opts);
-  ExpectDeclinedLike(gen, vr);
-  if (!gen.ok()) {
-    EXPECT_NE(gen.status().message().find(std::string("[") + rule + "]"),
-              std::string::npos)
-        << "decline does not carry " << rule << ": "
-        << gen.status().message();
-  }
+  const Status st = vr.ToStatus();
+  EXPECT_TRUE(st.IsNotImplemented()) << st.ToString();
+  const std::string lead = "[" + vr.diagnostics.front().rule_id + "]";
+  EXPECT_EQ(st.message().rfind(lead, 0), 0u)
+      << "decline does not lead with " << lead << ": " << st.message();
+  EXPECT_NE(st.message().find(std::string("[") + rule + "]"),
+            std::string::npos)
+      << "decline does not carry " << rule << ": " << st.message();
 }
 
 // ===========================================================================
@@ -736,28 +722,28 @@ TEST(VerifyTraceTest, PinnedMiscompileFamiliesRejected) {
 }
 
 // ===========================================================================
-// Agreement contract on the partitioner's own traces: GreedyPartition +
-// GenerateTrace accept iff the verifier is clean.
+// Agreement contract on the partitioner's own traces: GreedyPartition
+// guided by CheckRegion proposes only clean traces, and codegen emits every
+// one of them from the verifier's analysis.
 // ===========================================================================
 
-TEST(VerifyTraceTest, PartitionedTracesAgreeWithCodegen) {
+TEST(VerifyTraceTest, PartitionedTracesVerifyCleanAndGenerate) {
   for (bool allow_filter : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "allow_filter=" << allow_filter);
     Program p = MakeFigure2Program(4096);
     ir::DepGraph g = BuildGraph(&p);
     ir::PartitionConstraints c;
     c.allow_filter = allow_filter;
-    const std::vector<ir::Trace> traces = ir::GreedyPartition(g, c);
+    const std::vector<ir::Trace> traces = ir::GreedyPartition(
+        g, c, [&](const ir::Trace& t) { return CheckRegion(p, g, t, {}); });
     ASSERT_FALSE(traces.empty());
     for (const ir::Trace& tr : traces) {
-      SCOPED_TRACE(testing::Message() << "allow_filter=" << allow_filter);
-      const VerifyResult vr = VerifyTrace(p, g, tr);
-      auto gen = jit::GenerateTrace(p, g, tr);
-      if (vr.clean()) {
-        // Codegen refuses nothing the verifier accepts.
-        EXPECT_TRUE(gen.ok()) << gen.status().ToString();
-      } else {
-        ExpectDeclinedLike(gen, vr);
-      }
+      TraceAnalysis analysis;
+      const VerifyResult vr = VerifyTrace(p, g, tr, {}, &analysis);
+      ASSERT_TRUE(vr.clean()) << vr.ToString();
+      // Codegen refuses nothing the verifier accepts.
+      auto gen = jit::GenerateTrace(p, g, tr, analysis);
+      EXPECT_TRUE(gen.ok()) << gen.status().ToString();
     }
   }
 }

@@ -12,8 +12,10 @@
 //
 // Two side-stream families re-run the same plan: out-of-core (under a
 // memory budget, serial and 4-worker) and, for ~1 seed in 4,
-// filters-in-traces (4-worker with the partitioner allowed to merge filters
-// into traces — the path on which the verifier declines traces).
+// filters-outside-traces (4-worker under the paper's §III-B heuristic,
+// allow_filter = false). Every adaptive run must see zero verifier
+// rejects: the partitioner grows regions under the verifier's predicates,
+// so the decline path shows up as partition-time refusals instead.
 //
 // The 200-seed sweep is four shards of 50 seeds (gtest parameter = shard;
 // CMakeLists.txt registers one ctest entry per shard beside the entry for
@@ -34,6 +36,7 @@
 #include "dsl/typecheck.h"
 #include "engine/query_builder.h"
 #include "engine/session.h"
+#include "jit/backend_cc.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -432,13 +435,20 @@ struct SeedTally {
   int built = 0;
   int skipped = 0;       ///< plans the builder rejected identically
   uint64_t spilled = 0;  ///< bytes the out-of-core family spilled
-  uint64_t rejects = 0;  ///< verifier rejects, filters-in-traces family
+  uint64_t rejects = 0;   ///< verifier rejects, every adaptive run
+  uint64_t refusals = 0;  ///< partition-time refusals, every adaptive run
+
+  void Add(const ExecReport& r) {
+    rejects += r.verifier_rejects;
+    refusals += r.partition_refusals;
+  }
 };
 
 /// Runs one seeded plan under all three configs, plus the out-of-core
 /// family (the same plan under a side-stream-chosen memory budget) and, for
-/// a side-stream-chosen quarter of seeds, the filters-in-traces family, and
-/// compares. Used by the random sweep and by the pinned regression seeds.
+/// a side-stream-chosen quarter of seeds, the filters-outside-traces
+/// family, and compares. Used by the random sweep and by the pinned
+/// regression seeds.
 void RunSeed(uint64_t seed, Tables& t, Session& parallel_session,
              SeedTally* tally) {
   const std::string repro =
@@ -506,6 +516,7 @@ void RunSeed(uint64_t seed, Tables& t, Session& parallel_session,
     // The verifier is the only decline authority: codegen failing to emit
     // a trace it accepted is an Internal error that fails the query here.
     ASSERT_TRUE(r.ok()) << repro << info.desc << ": " << r.status().ToString();
+    tally->Add(r.ValueOrDie());
     CompareQueries(base, q, info, repro + info.desc + " [jit-serial]");
     if (verbose) std::fprintf(stderr, "  jit-serial ok\n");
   }
@@ -519,6 +530,7 @@ void RunSeed(uint64_t seed, Tables& t, Session& parallel_session,
     qo.vm.optimize_after_iterations = 2;
     auto r = parallel_session.Submit(q.context(), qo).Wait();
     ASSERT_TRUE(r.ok()) << repro << info.desc << ": " << r.status().ToString();
+    tally->Add(r.ValueOrDie());
     CompareQueries(base, q, info, repro + info.desc + " [session-4w]");
   }
 
@@ -565,16 +577,18 @@ void RunSeed(uint64_t seed, Tables& t, Session& parallel_session,
       ASSERT_TRUE(r.ok()) << repro << info.desc << blabel << ": "
                           << r.status().ToString();
       tally->spilled += r.ValueOrDie().bytes_spilled;
+      tally->Add(r.ValueOrDie());
       CompareQueries(base, q, info,
                      repro + info.desc + " [spill-session-4w" + blabel + "]");
     }
   }
 
-  // Filters-in-traces family: the partitioner may merge filters into
-  // traces (allow_filter), which is what reaches the verifier's filter
-  // rules, so traces get declined at the engine level and their statements
-  // stay interpreted. A side stream picks ~1 seed in 4 so historical and
-  // pinned seeds keep their plans; rows must stay BIT-identical.
+  // Filters-outside-traces family: the partitioner under the paper's
+  // §III-B heuristic (allow_filter = false) keeps every filter
+  // interpreted, so traces meet selection-carrying inputs at their
+  // boundaries instead of in-trace guards. A side stream picks ~1 seed in 4
+  // so historical and pinned seeds keep their plans; rows must stay
+  // BIT-identical.
   {
     Rng frng(seed * 0x9E3779B97F4A7C15ull + 4);
     if (frng.NextInRange(0, 3) == 0) {
@@ -583,17 +597,14 @@ void RunSeed(uint64_t seed, Tables& t, Session& parallel_session,
       QueryOptions qo;
       qo.strategy = ExecutionStrategy::kAdaptiveJit;
       qo.vm.optimize_after_iterations = 2;
-      qo.vm.constraints.allow_filter = true;
+      qo.vm.constraints.allow_filter = false;
       auto r = parallel_session.Submit(q.context(), qo).Wait();
       ASSERT_TRUE(r.ok()) << repro << info.desc << ": "
                           << r.status().ToString();
-      tally->rejects += r.ValueOrDie().verifier_rejects;
+      tally->Add(r.ValueOrDie());
       CompareQueries(base, q, info,
-                     repro + info.desc + " [filters-in-traces-4w]");
-      if (verbose) {
-        std::fprintf(stderr, "  filters-in-traces ok (%llu rejects)\n",
-                     (unsigned long long)r.ValueOrDie().verifier_rejects);
-      }
+                     repro + info.desc + " [filters-outside-traces-4w]");
+      if (verbose) std::fprintf(stderr, "  filters-outside-traces ok\n");
     }
   }
 }
@@ -638,23 +649,29 @@ TEST_P(DifferentialSweep, RandomPlansAgreeAcrossStrategiesAndWorkers) {
   // instead. Every guard below holds per shard.
   EXPECT_GE(tally.built, plans * 3 / 4)
       << "generator built only " << tally.built << "/" << plans << " plans";
-  // Same guards for the out-of-core and filters-in-traces families: across
-  // a full shard some plans must actually have taken the spill path and
-  // some traces the verifier's decline path, or the knob has silently
-  // stopped biting.
+  // The partitioner proposes only traces the verifier accepts: a verifier
+  // reject anywhere in the sweep means the two disagree.
+  EXPECT_EQ(tally.rejects, 0u) << "the partitioner proposed a trace the "
+                                  "verifier rejected";
+  // Across a full shard some plans must actually have taken the spill path
+  // and some partition growth steps the verifier's decline path, or the
+  // knob has silently stopped biting.
   if (plans >= 50) {
     EXPECT_GT(tally.spilled, 0u)
         << "no plan in the sweep spilled a single byte";
-    EXPECT_GT(tally.rejects, 0u)
-        << "no filters-in-traces run reached a verifier reject";
+    if (jit::HostCompilerAvailable()) {
+      EXPECT_GT(tally.refusals, 0u)
+          << "no partition growth step was refused by the verifier";
+    }
   }
   std::printf(
       "differential: seeds %llu..%llu: %d plans built, %d rejected "
-      "identically, %llu bytes spilled, %llu verifier rejects\n",
+      "identically, %llu bytes spilled, %llu verifier rejects, %llu "
+      "partition refusals\n",
       (unsigned long long)first_seed,
       (unsigned long long)(first_seed + static_cast<uint64_t>(plans) - 1),
       tally.built, tally.skipped, (unsigned long long)tally.spilled,
-      (unsigned long long)tally.rejects);
+      (unsigned long long)tally.rejects, (unsigned long long)tally.refusals);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, DifferentialSweep,
@@ -694,6 +711,8 @@ TEST(DifferentialTest, PinnedSeedsForPreviouslyDeclinedShapes) {
   // All five seeds must BUILD — a generator change that invalidates one
   // must re-pin an equivalent plan, not silently skip the family.
   EXPECT_EQ(tally.built, 5) << "pinned differential seeds no longer build";
+  EXPECT_EQ(tally.rejects, 0u) << "the partitioner proposed a trace the "
+                                  "verifier rejected";
 }
 
 // Pinned out-of-core seed: a duplicate-fan-out (many-to-many) join feeding

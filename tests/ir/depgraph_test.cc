@@ -119,7 +119,7 @@ TEST(DepGraphTest, ToDotRendersAllNodes) {
 // ---------------------------------------------------------------------------
 
 TEST(PartitionTest, Figure3TwoFunctionSplit) {
-  // With filters excluded (the default heuristic), Fig. 2's graph
+  // With filters excluded (the paper's §III-B heuristic), Fig. 2's graph
   // partitions into {read, map, write v} and singletons left interpreted —
   // matching the paper's "functions do not necessarily cover the whole
   // program". With filters allowed, the filter-side function appears too.
@@ -127,7 +127,8 @@ TEST(PartitionTest, Figure3TwoFunctionSplit) {
   auto gr = BuildFig2Graph(&p);
   ASSERT_TRUE(gr.ok());
 
-  PartitionConstraints strict;  // filters not fusable
+  PartitionConstraints strict;
+  strict.allow_filter = false;  // the paper's heuristic: filters not fusable
   auto traces = GreedyPartition(gr.value(), strict);
   ASSERT_FALSE(traces.empty());
   // The top trace must contain the map (hottest) and the read.
@@ -214,6 +215,7 @@ TEST(PartitionTest, TraceBoundariesNamed) {
   auto gr = BuildFig2Graph(&p);
   ASSERT_TRUE(gr.ok());
   PartitionConstraints c;
+  c.allow_filter = false;  // Fig. 3 is drawn under the §III-B heuristic
   auto traces = GreedyPartition(gr.value(), c);
   ASSERT_FALSE(traces.empty());
   const Trace& top = traces[0];

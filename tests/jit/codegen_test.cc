@@ -3,12 +3,35 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <set>
+#include <type_traits>
 
+#include "analysis/verify_trace.h"
 #include "dsl/builder.h"
 #include "dsl/typecheck.h"
+#include "interp/kernel_ops.h"
+#include "jit/backend_cc.h"
 
 namespace avm::jit {
 namespace {
+
+/// Verify `trace` under `sel_inputs` (as the VM does before codegen) and
+/// generate it from the verifier's analysis; a rejected trace returns the
+/// verifier's decline status.
+Result<GeneratedTrace> Generate(const dsl::Program& p, const ir::DepGraph& g,
+                                const ir::Trace& trace,
+                                const CodegenOptions& opts = {},
+                                std::set<std::string> sel_inputs = {}) {
+  analysis::TraceContext ctx;
+  ctx.sel_inputs = std::move(sel_inputs);
+  analysis::TraceAnalysis analysis;
+  AVM_RETURN_NOT_OK(
+      analysis::VerifyTrace(p, g, trace, ctx, &analysis).ToStatus());
+  return GenerateTrace(p, g, trace, analysis, opts);
+}
 
 struct Fixture {
   dsl::Program program;
@@ -32,7 +55,7 @@ Fixture MakeFig2Fixture(bool allow_filter) {
 TEST(CodegenTest, Fig2TopTraceGenerates) {
   Fixture fx = MakeFig2Fixture(false);
   ASSERT_FALSE(fx.traces.empty());
-  auto gen = GenerateTrace(fx.program, fx.graph, fx.traces[0]);
+  auto gen = Generate(fx.program, fx.graph, fx.traces[0]);
   ASSERT_TRUE(gen.ok()) << gen.status().ToString();
   const GeneratedTrace& t = gen.value();
   // The fused loop multiplies by two: the constant must be inlined.
@@ -77,7 +100,7 @@ TEST(CodegenTest, FilterTraceEmitsGuardAndCount) {
     }
   }
   ASSERT_NE(with_filter, nullptr);
-  auto gen = GenerateTrace(fx.program, fx.graph, *with_filter);
+  auto gen = Generate(fx.program, fx.graph, *with_filter);
   ASSERT_TRUE(gen.ok()) << gen.status().ToString();
   EXPECT_NE(gen.value().source.find("continue;"), std::string::npos);
   EXPECT_NE(gen.value().source.find("cnt"), std::string::npos);
@@ -100,7 +123,7 @@ TEST(CodegenTest, FilterEscapingTraceRejected) {
   t.node_ids = {static_cast<uint32_t>(filter_node)};
   t.inputs = {"a"};
   t.outputs = {"t"};
-  EXPECT_FALSE(GenerateTrace(fx.program, fx.graph, t).ok());
+  EXPECT_FALSE(Generate(fx.program, fx.graph, t).ok());
 }
 
 TEST(CodegenTest, CondenseWithoutFilterRejected) {
@@ -114,7 +137,7 @@ TEST(CodegenTest, CondenseWithoutFilterRejected) {
   t.node_ids = {static_cast<uint32_t>(condense_node)};
   t.inputs = {"t"};
   t.outputs = {"b"};
-  EXPECT_FALSE(GenerateTrace(fx.program, fx.graph, t).ok());
+  EXPECT_FALSE(Generate(fx.program, fx.graph, t).ok());
 }
 
 TEST(CodegenTest, SchemeSpecializationEmitsDeltaPath) {
@@ -122,7 +145,7 @@ TEST(CodegenTest, SchemeSpecializationEmitsDeltaPath) {
   ASSERT_FALSE(fx.traces.empty());
   CodegenOptions opts;
   opts.scheme_specialization["some_data"] = Scheme::kFor;
-  auto gen = GenerateTrace(fx.program, fx.graph, fx.traces[0], opts);
+  auto gen = Generate(fx.program, fx.graph, fx.traces[0], opts);
   ASSERT_TRUE(gen.ok()) << gen.status().ToString();
   // The compressed-execution path adds reference + uint32 delta.
   EXPECT_NE(gen.value().source.find("uint32_t*)in["), std::string::npos);
@@ -144,7 +167,7 @@ TEST(CodegenTest, PositionalVariantEmitsSingleDenseLoop) {
   // Without selection specialization the trace is the positional variant:
   // one fused loop over all rows, no selected pass.
   Fixture fx = MakeFig2Fixture(false);
-  auto gen = GenerateTrace(fx.program, fx.graph, fx.traces[0]);
+  auto gen = Generate(fx.program, fx.graph, fx.traces[0]);
   ASSERT_TRUE(gen.ok());
   const std::string& src = gen.value().source;
   EXPECT_NE(src.find("for (uint32_t i = 0; i < n; ++i)"), std::string::npos);
@@ -170,6 +193,7 @@ TEST(CodegenTest, SelSpecializedVariantEmitsSelectedPass) {
   body.push_back(Let("y", Skeleton(SkeletonKind::kMap,
                                    {Lambda({"x"}, Var("x") * ConstI(3)),
                                     Var("t")})));
+  body.push_back(Let("ny", Skeleton(SkeletonKind::kLen, {Var("y")})));
   body.push_back(Assign(
       "i", Var("i") + Skeleton(SkeletonKind::kLen, {Var("input")})));
   body.push_back(If(Call(ScalarOp::kGe, {Var("i"), ConstI(4096)}),
@@ -189,11 +213,9 @@ TEST(CodegenTest, SelSpecializedVariantEmitsSelectedPass) {
   tr.inputs = {"t"};
   tr.outputs = {"y"};
 
-  auto gen_pos = GenerateTrace(p, g.value(), tr);
+  auto gen_pos = Generate(p, g.value(), tr);
   ASSERT_TRUE(gen_pos.ok()) << gen_pos.status().ToString();
-  CodegenOptions opts;
-  opts.sel_inputs.insert("t");
-  auto gen_sel = GenerateTrace(p, g.value(), tr, opts);
+  auto gen_sel = Generate(p, g.value(), tr, {}, {"t"});
   ASSERT_TRUE(gen_sel.ok()) << gen_sel.status().ToString();
   const std::string& src = gen_sel.value().source;
   EXPECT_NE(src.find("args->sel[j]"), std::string::npos);
@@ -214,14 +236,14 @@ TEST(CodegenTest, SymbolsAreContentDeterministic) {
   // the JIT backend memo deduplicates compilation work; a differently
   // specialized variant gets a different symbol.
   Fixture fx = MakeFig2Fixture(false);
-  auto a = GenerateTrace(fx.program, fx.graph, fx.traces[0]);
-  auto b = GenerateTrace(fx.program, fx.graph, fx.traces[0]);
+  auto a = Generate(fx.program, fx.graph, fx.traces[0]);
+  auto b = Generate(fx.program, fx.graph, fx.traces[0]);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a.value().symbol, b.value().symbol);
   EXPECT_EQ(a.value().source, b.value().source);
   CodegenOptions opts;
   opts.scheme_specialization["some_data"] = Scheme::kFor;
-  auto c = GenerateTrace(fx.program, fx.graph, fx.traces[0], opts);
+  auto c = Generate(fx.program, fx.graph, fx.traces[0], opts);
   ASSERT_TRUE(c.ok());
   EXPECT_NE(a.value().symbol, c.value().symbol);
 }
@@ -272,7 +294,7 @@ TEST(CodegenTest, StaleInTraceCaptureDeclined) {
       }
     }
     if (has_w_write && has_capture_map) {
-      auto gen = GenerateTrace(p, g.value(), tr);
+      auto gen = Generate(p, g.value(), tr);
       ASSERT_FALSE(gen.ok()) << gen.value().source;
       EXPECT_NE(gen.status().ToString().find("stale"), std::string::npos)
           << gen.status().ToString();
@@ -294,7 +316,7 @@ TEST(CodegenTest, StaleInTraceCaptureDeclined) {
                  static_cast<uint32_t>(std::max(write_w, map_y))};
   tr.inputs = {"v"};
   tr.outputs = {"y"};
-  auto gen = GenerateTrace(p, g.value(), tr);
+  auto gen = Generate(p, g.value(), tr);
   ASSERT_FALSE(gen.ok());
   EXPECT_NE(gen.status().ToString().find("stale"), std::string::npos)
       << gen.status().ToString();
@@ -355,7 +377,7 @@ TEST(CodegenTest, ArrayConflictAcrossStatementSpanDeclined) {
   across.inputs = {"v"};
   across.outputs = {"g"};
   EXPECT_GE(ir::StmtConvexityViolation(g.value(), across.node_ids), 0);
-  auto gen = GenerateTrace(p, g.value(), across);
+  auto gen = Generate(p, g.value(), across);
   ASSERT_FALSE(gen.ok());
   EXPECT_NE(gen.status().ToString().find("statement-convex"),
             std::string::npos)
@@ -369,7 +391,7 @@ TEST(CodegenTest, ArrayConflictAcrossStatementSpanDeclined) {
   rw.inputs = {"v", "idx"};
   rw.outputs = {"g", "X"};
   EXPECT_GE(ir::StmtConvexityViolation(g.value(), rw.node_ids), 0);
-  EXPECT_FALSE(GenerateTrace(p, g.value(), rw).ok());
+  EXPECT_FALSE(Generate(p, g.value(), rw).ok());
 
   // The partitioner never emits a region spanning the scatter.
   ir::PartitionConstraints c;
@@ -398,6 +420,7 @@ TEST(CodegenTest, BoundaryCondenseOverSelInputCompiles) {
                                    {Lambda({"x"}, Var("x") * ConstI(2)),
                                     Var("a")})));
   body.push_back(Let("c", Skeleton(SkeletonKind::kCondense, {Var("b")})));
+  body.push_back(Let("nc", Skeleton(SkeletonKind::kLen, {Var("c")})));
   body.push_back(Assign("i", Var("i") + Skeleton(SkeletonKind::kLen,
                                                  {Var("v")})));
   body.push_back(If(Call(ScalarOp::kGe, {Var("i"), ConstI(4096)}),
@@ -418,9 +441,7 @@ TEST(CodegenTest, BoundaryCondenseOverSelInputCompiles) {
   tr.node_ids = {static_cast<uint32_t>(condense_c)};
   tr.inputs = {"b"};
   tr.outputs = {"c"};
-  CodegenOptions opts;
-  opts.sel_inputs.insert("b");
-  auto gen = GenerateTrace(p, g.value(), tr, opts);
+  auto gen = Generate(p, g.value(), tr, {}, {"b"});
   ASSERT_TRUE(gen.ok()) << gen.status().ToString();
   bool condensed_out = false;
   for (const auto& o : gen.value().outputs) {
@@ -431,10 +452,149 @@ TEST(CodegenTest, BoundaryCondenseOverSelInputCompiles) {
   EXPECT_TRUE(condensed_out);
   // Without the selection specialization the same trace must DECLINE
   // (condense needs a selection context), not crash.
-  auto gen_pos = GenerateTrace(p, g.value(), tr);
+  auto gen_pos = Generate(p, g.value(), tr);
   EXPECT_FALSE(gen_pos.ok());
 }
 
+
+// ---------------------------------------------------------------------------
+// The generated unit's preamble: <cstdint> only, and helpers that agree
+// with the interpreter's scalar kernels (interp::ops) bit for bit.
+// ---------------------------------------------------------------------------
+
+/// Appended to a generated unit: one extern "C" entry that applies a
+/// preamble helper (op 0..4: div, mod, neg, abs, sqrt) element-wise over
+/// element type `type` (0..5: i8, i16, i32, i64, f32, f64). sqrt writes
+/// float for f32 and double otherwise, as the emitted code does.
+const char* kHelperHarness = R"(
+namespace {
+template <class T, class S>
+void avm_apply(int op, const void* a, const void* b, void* out, uint32_t n) {
+  const T* x = (const T*)a;
+  const T* y = (const T*)b;
+  for (uint32_t i = 0; i < n; ++i) {
+    switch (op) {
+      case 0: ((T*)out)[i] = avm_div<T>(x[i], y[i]); break;
+      case 1: ((T*)out)[i] = avm_mod<T>(x[i], y[i]); break;
+      case 2: ((T*)out)[i] = avm_neg<T>(x[i]); break;
+      case 3: ((T*)out)[i] = avm_abs<T>(x[i]); break;
+      default: ((S*)out)[i] = avm_sqrt((S)x[i]); break;
+    }
+  }
+}
+}  // namespace
+extern "C" void avm_helper_parity(int type, int op, const void* a,
+                                  const void* b, void* out, uint32_t n) {
+  switch (type) {
+    case 0: avm_apply<int8_t, double>(op, a, b, out, n); break;
+    case 1: avm_apply<int16_t, double>(op, a, b, out, n); break;
+    case 2: avm_apply<int32_t, double>(op, a, b, out, n); break;
+    case 3: avm_apply<int64_t, double>(op, a, b, out, n); break;
+    case 4: avm_apply<float, float>(op, a, b, out, n); break;
+    default: avm_apply<double, double>(op, a, b, out, n); break;
+  }
+}
+)";
+
+using HelperParityFn = void (*)(int, int, const void*, const void*, void*,
+                                uint32_t);
+
+/// Edge operands for `T`: every (a, b) pair of the two lists — division
+/// by 0, MIN / -1 and MIN % -1, negating and taking abs of MIN, sqrt of
+/// negatives; -0.0, infinities and NaN for floats.
+template <typename T>
+void EdgeOperands(std::vector<T>* a, std::vector<T>* b) {
+  std::vector<T> as, bs;
+  if constexpr (std::is_integral_v<T>) {
+    const T lo = std::numeric_limits<T>::min();
+    const T hi = std::numeric_limits<T>::max();
+    as = {lo, T(lo + 1), T(-7), T(-1), T(0), T(1), T(7), hi};
+    bs = {T(-1), T(0), T(1), T(3), T(-3), lo, hi, T(2)};
+  } else {
+    const T inf = std::numeric_limits<T>::infinity();
+    const T nan = std::numeric_limits<T>::quiet_NaN();
+    as = {T(-7.5), T(-0.0), T(0.0), T(2.25), T(1e30), T(-1e-30), inf, nan};
+    bs = {T(0.0), T(-0.0), T(2.0), T(-3.5), T(1e-30), inf, T(-1.0), T(0.5)};
+  }
+  for (T x : as) {
+    for (T y : bs) {
+      a->push_back(x);
+      b->push_back(y);
+    }
+  }
+}
+
+/// Equal bits, or both NaN (a NaN's sign and payload are in neither
+/// contract).
+template <typename V>
+bool SameValue(V x, V y) {
+  if constexpr (std::is_floating_point_v<V>) {
+    if (std::isnan(x) && std::isnan(y)) return true;
+  }
+  return std::memcmp(&x, &y, sizeof(V)) == 0;
+}
+
+template <typename T>
+void CheckHelperParity(HelperParityFn fn, int type) {
+  using S = std::conditional_t<std::is_same_v<T, float>, float, double>;
+  SCOPED_TRACE(TypeName(TypeIdOf<T>::value));
+  std::vector<T> a, b;
+  EdgeOperands(&a, &b);
+  const auto n = static_cast<uint32_t>(a.size());
+  std::vector<T> got(n);
+  std::vector<S> got_sqrt(n);
+  auto expect_binary = [&](int op, auto kernel, const char* name) {
+    fn(type, op, a.data(), b.data(), got.data(), n);
+    for (uint32_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(SameValue(got[i], kernel(a[i], b[i])))
+          << name << "(" << +a[i] << ", " << +b[i] << ") = " << +got[i];
+    }
+  };
+  auto expect_unary = [&](int op, auto kernel, const char* name) {
+    fn(type, op, a.data(), b.data(), got.data(), n);
+    for (uint32_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(SameValue(got[i], kernel(a[i])))
+          << name << "(" << +a[i] << ") = " << +got[i];
+    }
+  };
+  expect_binary(0, interp::ops::OpDiv::Apply<T>, "avm_div");
+  expect_binary(1, interp::ops::OpMod::Apply<T>, "avm_mod");
+  expect_unary(2, interp::ops::UnNeg::Apply<T>, "avm_neg");
+  expect_unary(3, interp::ops::UnAbs::Apply<T>, "avm_abs");
+  fn(type, 4, a.data(), b.data(), got_sqrt.data(), n);
+  for (uint32_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(SameValue(got_sqrt[i],
+                          static_cast<S>(interp::ops::UnSqrt::Apply(a[i]))))
+        << "sqrt(" << +a[i] << ") = " << got_sqrt[i];
+  }
+}
+
+TEST(CodegenTest, PreambleIncludesOnlyCstdintAndMatchesKernels) {
+  Fixture fx = MakeFig2Fixture(false);
+  ASSERT_FALSE(fx.traces.empty());
+  auto gen = Generate(fx.program, fx.graph, fx.traces[0]);
+  ASSERT_TRUE(gen.ok()) << gen.status().ToString();
+  const std::string& src = gen.value().source;
+  EXPECT_EQ(src.rfind("#include <cstdint>\n", 0), 0u);
+  EXPECT_EQ(src.find("#include", 1), std::string::npos);
+
+  if (!HostCompilerAvailable()) GTEST_SKIP() << "no host compiler";
+  // The fast tier is the one every first compile uses.
+  auto artifact = BackendForTier(JitTier::kFast)
+                      .Compile(src + kHelperHarness, "avm_helper_parity",
+                               nullptr);
+  ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+  auto sym = ArtifactLoader::Global().Load(artifact.value(),
+                                           "avm_helper_parity");
+  ASSERT_TRUE(sym.ok()) << sym.status().ToString();
+  auto fn = reinterpret_cast<HelperParityFn>(sym.value());
+  CheckHelperParity<int8_t>(fn, 0);
+  CheckHelperParity<int16_t>(fn, 1);
+  CheckHelperParity<int32_t>(fn, 2);
+  CheckHelperParity<int64_t>(fn, 3);
+  CheckHelperParity<float>(fn, 4);
+  CheckHelperParity<double>(fn, 5);
+}
 
 }  // namespace
 }  // namespace avm::jit

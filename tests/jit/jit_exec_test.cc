@@ -6,6 +6,7 @@
 #include <cmath>
 #include <memory>
 
+#include "analysis/verify_trace.h"
 #include "dsl/builder.h"
 #include "util/rng.h"
 #include "dsl/typecheck.h"
@@ -35,15 +36,18 @@ Result<CompiledFixture> Compile(dsl::Program program, bool allow_filter,
   c.allow_filter = allow_filter;
   auto traces = ir::GreedyPartition(fx.graph, c);
   for (const auto& t : traces) {
-    auto compiled = CompileTraceTiered(fx.program, fx.graph, t, cg,
-                                       TierPolicy::kOptimizedOnly,
-                                       /*disk=*/nullptr, /*situation_key=*/0);
-    if (!compiled.ok()) {
-      if (compiled.status().IsNotImplemented()) continue;  // declined
-      return compiled.status();
+    analysis::TraceAnalysis analysis;
+    if (!analysis::VerifyTrace(fx.program, fx.graph, t, {}, &analysis)
+             .clean()) {
+      continue;  // declined
     }
+    AVM_ASSIGN_OR_RETURN(
+        TieredCompileOutcome compiled,
+        CompileTraceTiered(fx.program, fx.graph, t, analysis, cg,
+                           TierPolicy::kOptimizedOnly,
+                           /*disk=*/nullptr, /*situation_key=*/0));
     fx.compiled.push_back(
-        std::make_shared<TraceEntry>(std::move(compiled).value().trace, 0));
+        std::make_shared<TraceEntry>(std::move(compiled.trace), 0));
   }
   return fx;
 }
@@ -651,12 +655,12 @@ TEST(JitExecTest, SelWriteBypassingInTraceFilterDeclined) {
   std::sort(tr.node_ids.begin(), tr.node_ids.end());
   tr.inputs = {"b"};
   tr.outputs = {"d", "dst"};
-  CodegenOptions opts;
-  opts.sel_inputs.insert("b");
-  auto gen = GenerateTrace(p, g.value(), tr, opts);
-  ASSERT_FALSE(gen.ok());
-  EXPECT_NE(gen.status().ToString().find("bypasses"), std::string::npos)
-      << gen.status().ToString();
+  analysis::TraceContext ctx;
+  ctx.sel_inputs = {"b"};
+  const Status st = analysis::VerifyTrace(p, g.value(), tr, ctx).ToStatus();
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("bypasses"), std::string::npos)
+      << st.ToString();
 }
 
 

@@ -7,6 +7,7 @@
 #include "interp/kernel_ops.h"
 #include "jit/backend_cc.h"
 #include "storage/datagen.h"
+#include "util/rng.h"
 
 namespace avm::vm {
 namespace {
@@ -214,6 +215,143 @@ TEST(AdaptiveVmTest, ShortRunStaysInterpreted) {
   ASSERT_TRUE(BindFig2(vm.interpreter(), &d).ok());
   ASSERT_TRUE(vm.Run().ok());
   EXPECT_EQ(vm.Report().traces_compiled, 0u);
+}
+
+/// The loop `let x = read i src; let ok = filter (< 50) x;
+/// let c = map (\v _s -> v*2) x ok; [k := k + len c;] i := i + len x` over
+/// `n` rows. `read_len_c` adds the `len c` statement — a read of the
+/// post-filter value `c` from outside the dependency graph, after every
+/// graph node (so both shapes give their nodes the same ids).
+dsl::Program LenOfPostFilterProgram(int64_t n, bool read_len_c) {
+  using namespace dsl;  // NOLINT: builder DSL reads best unqualified
+  Program p;
+  p.data = {{"src", TypeId::kI64, false}};
+  std::vector<StmtPtr> body;
+  body.push_back(
+      Let("x", Skeleton(SkeletonKind::kRead, {Var("i"), Var("src")})));
+  body.push_back(Let("ok", Skeleton(SkeletonKind::kFilter,
+                                    {Lambda({"v"}, Var("v") < ConstI(50)),
+                                     Var("x")})));
+  body.push_back(Let("c", Skeleton(SkeletonKind::kMap,
+                                   {Lambda({"v", "_s"}, Var("v") * ConstI(2)),
+                                    Var("x"), Var("ok")})));
+  if (read_len_c) {
+    body.push_back(Assign(
+        "k", Var("k") + Skeleton(SkeletonKind::kLen, {Var("c")})));
+  }
+  body.push_back(Assign(
+      "i", Var("i") + Skeleton(SkeletonKind::kLen, {Var("x")})));
+  body.push_back(If(Var("i") >= ConstI(n), {Break()}));
+  p.stmts = {MutDef("i"), Assign("i", ConstI(0)), MutDef("k"),
+             Assign("k", ConstI(0)), Loop(std::move(body))};
+  p.AssignIds();
+  EXPECT_TRUE(TypeCheck(&p).ok());
+  return p;
+}
+
+std::vector<int64_t> LenOfPostFilterData(int64_t n) {
+  std::vector<int64_t> src(static_cast<size_t>(n));
+  Rng rng(11);
+  for (auto& x : src) x = rng.NextInRange(0, 99);
+  return src;
+}
+
+/// Runs `p` over `src` (interpreted when `opts.enable_jit` is false) and
+/// returns the final value of `k`.
+int64_t RunLenOfPostFilter(const dsl::Program& p, std::vector<int64_t>* src,
+                           VmOptions opts, jit::TraceCache* cache = nullptr,
+                           VmReport* report = nullptr) {
+  AdaptiveVm vm(&p, opts, cache);
+  EXPECT_TRUE(vm.interpreter()
+                  .BindData("src", DataBinding::Raw(TypeId::kI64, src->data(),
+                                                    src->size()))
+                  .ok());
+  EXPECT_TRUE(vm.Run().ok());
+  if (report != nullptr) *report = vm.Report();
+  auto k = vm.interpreter().GetScalar("k");
+  EXPECT_TRUE(k.ok());
+  return k.ok() ? k.value().AsI64() : -1;
+}
+
+// `len c` reads the post-filter value `c` outside the graph. A trace that
+// holds the filter and `c` would publish `c` without its selection, so the
+// partitioner must keep them apart (the value is live-out and no condense
+// follows) — the result equals interpretation.
+TEST(AdaptiveVmTest, LenOfPostFilterValueMatchesInterpretation) {
+  const int64_t kN = 64 * 1024;
+  dsl::Program p = LenOfPostFilterProgram(kN, /*read_len_c=*/true);
+  std::vector<int64_t> src = LenOfPostFilterData(kN);
+  VmOptions interp;
+  interp.enable_jit = false;
+  const int64_t want = RunLenOfPostFilter(p, &src, interp);
+  ASSERT_GT(want, 0);
+  ASSERT_LT(want, kN);
+
+  VmOptions jit;
+  jit.optimize_after_iterations = 2;
+  jit.constraints.allow_filter = true;
+  jit::TraceCache cache;
+  VmReport report;
+  EXPECT_EQ(RunLenOfPostFilter(p, &src, jit, &cache, &report), want);
+  EXPECT_EQ(report.verifier_rejects, 0u);
+  // A second VM on the same cache reuses the partition (no region is
+  // grown again) and every compiled trace (nothing is verified again).
+  VmReport again;
+  EXPECT_EQ(RunLenOfPostFilter(p, &src, jit, &cache, &again), want);
+  if (jit::HostCompilerAvailable()) {
+    EXPECT_GT(report.injection_runs, 0u);
+    EXPECT_GT(report.partition_refusals, 0u);
+    EXPECT_EQ(again.partition_refusals, 0u);
+    EXPECT_EQ(again.verifier_checked, 0u);
+    EXPECT_EQ(again.traces_compiled, 0u);
+    EXPECT_GT(again.injection_runs, 0u);
+  }
+}
+
+// Two programs whose trace nodes are identical but only one of which reads
+// `len c` share one TraceCache: the live-out set is part of the trace
+// fingerprint, so each gets its own entry (one publishes `c`, the other
+// does not), and both match interpretation.
+TEST(AdaptiveVmTest, SharedCacheKeepsLiveOutVariantsApart) {
+  const int64_t kN = 64 * 1024;
+  dsl::Program without = LenOfPostFilterProgram(kN, /*read_len_c=*/false);
+  dsl::Program with = LenOfPostFilterProgram(kN, /*read_len_c=*/true);
+  std::vector<int64_t> src = LenOfPostFilterData(kN);
+
+  // The map's trace: same node, same shape, different outside uses.
+  ir::DepGraph g_without = ir::DepGraph::Build(without).ValueOrDie();
+  ir::DepGraph g_with = ir::DepGraph::Build(with).ValueOrDie();
+  ir::Trace map_trace;
+  map_trace.node_ids = {static_cast<uint32_t>(g_with.ProducerOf("c"))};
+  ASSERT_EQ(g_without.ProducerOf("c"), g_with.ProducerOf("c"));
+  EXPECT_EQ(g_without.nodes()[map_trace.node_ids[0]].shape_hash,
+            g_with.nodes()[map_trace.node_ids[0]].shape_hash);
+  EXPECT_NE(jit::TraceFingerprint(g_without, map_trace),
+            jit::TraceFingerprint(g_with, map_trace));
+
+  VmOptions interp;
+  interp.enable_jit = false;
+  const int64_t want_with = RunLenOfPostFilter(with, &src, interp);
+  const int64_t want_without = RunLenOfPostFilter(without, &src, interp);
+
+  // Filters stay interpreted, so both programs compile the same trace
+  // nodes: {read x} and the selection-carrying {map c}.
+  VmOptions jit;
+  jit.optimize_after_iterations = 2;
+  jit.constraints.allow_filter = false;
+  jit::TraceCache cache;
+  VmReport r_without, r_with;
+  EXPECT_EQ(RunLenOfPostFilter(without, &src, jit, &cache, &r_without),
+            want_without);
+  EXPECT_EQ(RunLenOfPostFilter(with, &src, jit, &cache, &r_with), want_with);
+  if (jit::HostCompilerAvailable()) {
+    EXPECT_GT(r_with.injection_runs, 0u);
+    // {read x} is shared; {map c} compiles once per live-out set.
+    EXPECT_EQ(r_without.traces_compiled + r_without.disk_cache_hits, 2u);
+    EXPECT_EQ(r_with.traces_reused, 1u);
+    EXPECT_EQ(r_with.traces_compiled + r_with.disk_cache_hits, 1u);
+    EXPECT_EQ(cache.size(), 3u);
+  }
 }
 
 }  // namespace
